@@ -1,5 +1,14 @@
 """Block-allocated latent-memory generative model, desk scale."""
 
+import os
+
+# KPP_THREADS=n caps BLAS/OpenMP threads.  BLAS reads its caps once, when
+# NumPy loads it, so they are set here, before this package imports NumPy;
+# caps already in the environment win.
+if os.environ.get("KPP_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["KPP_THREADS"])
+
 from . import backend
 from .autodiff import GraphError, NonFiniteError, Tensor
 from .data import Dataset, EpisodeSampler, binarize, inject_noise, load_idx, synth_shapes

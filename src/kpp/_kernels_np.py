@@ -1,12 +1,36 @@
 """NumPy implementations of the hot kernels.
 
-Fallback backend used when the compiled extension is unavailable (or forced
-via ``KPP_BACKEND=numpy``).  Semantics must match ``_kernels.pyx`` exactly:
-float64, zero padding, and the "corners map to +/-1" grid convention where a
-normalized coordinate c maps to pixel (c + 1) / 2 * (size - 1).
+The convolutions run as BLAS matrix products: the forward pass and the
+kernel gradient over an im2col matrix built from a ``sliding_window_view``
+of the padded input, the input gradient as one product per kernel tap
+added into its strided window.  The bilinear image gradient is a single
+``np.bincount`` scatter.  ``backend`` uses these kernels unless the
+optional compiled extension (``_kernels.pyx``) is importable; the two must
+agree to float64 rounding noise: float64, zero padding, and the "corners
+map to +/-1" grid convention where a normalized coordinate c maps to pixel
+(c + 1) / 2 * (size - 1).
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+
+def _padded(x, pad):
+    if not pad:
+        return x
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
+def _im2col(x, pad, kh, kw, stride, ho, wo):
+    """Windows of a strided correlation over zero-padded x, as one matrix
+    per image: (N, Ci*kh*kw, ho*wo), rows in (c, u, v) order."""
+    n, c = x.shape[:2]
+    win = sliding_window_view(_padded(x, pad), (kh, kw), axis=(2, 3))
+    win = win[:, :, :(ho - 1) * stride + 1:stride, :(wo - 1) * stride + 1:stride]
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, ho * wo)
 
 
 def conv2d_forward(x, w, stride, pad):
@@ -19,27 +43,24 @@ def conv2d_forward(x, w, stride, pad):
     wo = (wid + 2 * pad - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d output would be empty for input {x.shape} kernel {w.shape}")
-    xp = x
-    if pad:
-        xp = np.zeros((n, ci, h + 2 * pad, wid + 2 * pad), dtype=np.float64)
-        xp[:, :, pad:pad + h, pad:pad + wid] = x
-    y = np.zeros((n, co, ho, wo), dtype=np.float64)
-    for u in range(kh):
-        for v in range(kw):
-            patch = xp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride]
-            y += np.einsum("nchw,fc->nfhw", patch, w[:, :, u, v], optimize=True)
-    return y
+    cols = _im2col(x, pad, kh, kw, stride, ho, wo)
+    return np.matmul(w.reshape(co, ci * kh * kw), cols).reshape(n, co, ho, wo)
 
 
 def conv2d_input_grad(gy, w, stride, pad, h, wid):
     """Gradient of conv2d_forward w.r.t. the input, for input size (h, wid)."""
     n, co, ho, wo = gy.shape
     co2, ci, kh, kw = w.shape
+    # One product per kernel tap, added into its strided window (col2im).
+    # A single product for all taps is no faster: its kh*kw-times-larger
+    # buffer costs more in fresh pages than the saved BLAS calls.
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))      # (kh,kw,Ci,Co)
+    g = gy.reshape(n, co, ho * wo)
     gxp = np.zeros((n, ci, h + 2 * pad, wid + 2 * pad), dtype=np.float64)
     for u in range(kh):
         for v in range(kw):
-            contrib = np.einsum("nfhw,fc->nchw", gy, w[:, :, u, v], optimize=True)
-            gxp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += contrib
+            tap = np.matmul(wt[u, v], g).reshape(n, ci, ho, wo)
+            gxp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += tap
     if pad:
         return np.ascontiguousarray(gxp[:, :, pad:pad + h, pad:pad + wid])
     return gxp
@@ -47,18 +68,11 @@ def conv2d_input_grad(gy, w, stride, pad, h, wid):
 
 def conv2d_kernel_grad(gy, x, stride, pad, kh, kw):
     """Gradient of conv2d_forward w.r.t. the kernel (Co,Ci,kh,kw)."""
-    n, ci, h, wid = x.shape
-    _, co, ho, wo = gy.shape[0], gy.shape[1], gy.shape[2], gy.shape[3]
-    xp = x
-    if pad:
-        xp = np.zeros((n, ci, h + 2 * pad, wid + 2 * pad), dtype=np.float64)
-        xp[:, :, pad:pad + h, pad:pad + wid] = x
-    gw = np.zeros((co, ci, kh, kw), dtype=np.float64)
-    for u in range(kh):
-        for v in range(kw):
-            patch = xp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride]
-            gw[:, :, u, v] = np.einsum("nfhw,nchw->fc", gy, patch, optimize=True)
-    return gw
+    n, co, ho, wo = gy.shape
+    ci = x.shape[1]
+    cols = _im2col(x, pad, kh, kw, stride, ho, wo)
+    gw = np.matmul(gy.reshape(n, co, ho * wo), cols.transpose(0, 2, 1)).sum(axis=0)
+    return gw.reshape(co, ci, kh, kw)
 
 
 def _grid_to_pixels(grid, h, w):
@@ -119,18 +133,16 @@ def bilinear_image_grad(gy, grid, h, w):
     b, g, c, gh, gw = gy.shape
     px, py = _grid_to_pixels(grid, h, w)
     (cx0, cx1, cy0, cy1), (vx0, vx1, vy0, vy1), fx, fy = _corners(px, py, h, w)
-    gimg = np.zeros((b, c, h, w), dtype=np.float64)
-    bidx = np.arange(b).reshape(b, 1, 1, 1, 1)
-    cidx = np.arange(c).reshape(1, 1, c, 1, 1)
-    for cy, cx, valid, wt in (
-        (cy0, cx0, vy0 & vx0, (1 - fx) * (1 - fy)),
-        (cy0, cx1, vy0 & vx1, fx * (1 - fy)),
-        (cy1, cx0, vy1 & vx0, (1 - fx) * fy),
-        (cy1, cx1, vy1 & vx1, fx * fy),
-    ):
-        contrib = gy * (wt * valid)[:, :, None]
-        np.add.at(gimg, (bidx, cidx, cy[:, :, None], cx[:, :, None]), contrib)
-    return gimg
+    # One scatter-add over flat (b, c, y, x) indices, the four corners
+    # stacked in front.  Off-canvas corners were clipped onto the canvas
+    # and carry weight 0.
+    pixel = np.stack([cy0 * w + cx0, cy0 * w + cx1, cy1 * w + cx0, cy1 * w + cx1])
+    weight = np.stack([(1 - fx) * (1 - fy) * (vy0 & vx0), fx * (1 - fy) * (vy0 & vx1),
+                       (1 - fx) * fy * (vy1 & vx0), fx * fy * (vy1 & vx1)])
+    plane = (np.arange(b)[:, None] * c + np.arange(c)) * (h * w)          # (B,C)
+    idx = plane[None, :, None, :, None, None] + pixel[:, :, :, None]     # (4,B,G,C,h,w)
+    gimg = np.bincount(idx.ravel(), (gy * weight[:, :, :, None]).ravel(), minlength=b * c * h * w)
+    return gimg.reshape(b, c, h, w)
 
 
 def bilinear_grid_grad(gy, images, grid):

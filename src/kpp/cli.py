@@ -377,7 +377,8 @@ def _add_common(p, defaults):
         if isinstance(val, bool):
             p.add_argument(flag, action="store_const", const=True, default=None)
         else:
-            p.add_argument(flag, type=type(val), default=None)
+            choices = (*data_mod.BINARIZE_MODES, "none") if key == "binarize" else None
+            p.add_argument(flag, type=type(val), default=None, choices=choices)
     p.add_argument("--config", type=str, default=None,
                    help="file of key = value lines (flags take precedence)")
 
@@ -400,10 +401,6 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    threads = os.environ.get("KPP_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -82,11 +82,15 @@ def load_idx(path, split="train", name=None):
     return Dataset(images=images, split=split, name=name or "idx")
 
 
+BINARIZE_MODES = ("threshold", "sample")
+
+
 def binarize(dataset: Dataset, mode="threshold", seed=0) -> Dataset:
-    """Map pixels to {0,1}: fixed threshold at 0.5 or one seeded Bernoulli draw."""
+    """Map pixels to {0,1}: fixed threshold at 0.5 ("threshold") or one
+    seeded Bernoulli draw per pixel ("sample")."""
     if mode == "threshold":
         images = (dataset.images >= 0.5).astype(np.float64)
-    elif mode == "stochastic":
+    elif mode == "sample":
         rng = _rng_from(seed)
         images = (rng.random(dataset.images.shape) < dataset.images).astype(np.float64)
     else:

@@ -2,10 +2,14 @@
 
 import csv
 import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kpp
 from kpp.cli import _read_config_file, main
 from kpp.trainer import METRICS_HEADER
 
@@ -245,9 +249,44 @@ class TestReproducibility:
         assert (a / "keys.csv").read_bytes() == (b / "keys.csv").read_bytes()
 
 
-def test_threads_env_applied(monkeypatch, tmp_path):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("KPP_THREADS", "1")
-    rc = run(["eval", "--ckpt", str(tmp_path / "absent.bin")])
-    assert rc == 1
-    assert os.environ.get("OMP_NUM_THREADS") == "1"
+def _threads_after_blas(kpp_threads):
+    """Thread count of a fresh interpreter that imports kpp and then makes
+    a BLAS call, with no BLAS caps in its environment but KPP_THREADS."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "KPP_THREADS")}
+    if kpp_threads is not None:
+        env["KPP_THREADS"] = kpp_threads
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(kpp.__file__)), env.get("PYTHONPATH", "")])
+    code = ("import os, kpp, numpy as np; a = np.ones((256, 256)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return int(out.stdout.strip())
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc and more than one core")
+def test_threads_env_applied():
+    if _threads_after_blas(None) == 1:
+        pytest.skip("BLAS starts no worker threads here; nothing to cap")
+    assert _threads_after_blas("1") == 1
+
+
+def test_binarize_sample_on_idx(tmp_path):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "imgs.idx"
+    with open(path, "wb") as f:
+        f.write(struct.pack(">IIII", 0x00000803, 40, 16, 16))
+        f.write(rng.integers(0, 256, size=(40, 16, 16), dtype=np.uint8).tobytes())
+    out = tmp_path / "run"
+    rc = run(["train", "--data", str(path), "--binarize", "sample", *FAST,
+              "--out", str(out)])
+    assert rc == 0
+    assert len(read_csv(out / "metrics.csv")) == 3
+
+
+def test_binarize_choices_enforced():
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--binarize", "stochastic"])
+    assert exc.value.code == 1

@@ -101,16 +101,16 @@ class TestBinarize:
 
     def test_stochastic_seeded_and_binary(self, rng):
         d = Dataset(images=rng.random((8, 1, 6, 6)))
-        a = binarize(d, mode="stochastic", seed=7)
-        b = binarize(d, mode="stochastic", seed=7)
-        c = binarize(d, mode="stochastic", seed=8)
+        a = binarize(d, mode="sample", seed=7)
+        b = binarize(d, mode="sample", seed=7)
+        c = binarize(d, mode="sample", seed=8)
         assert np.array_equal(a.images, b.images)
         assert not np.array_equal(a.images, c.images)
         assert set(np.unique(a.images)) <= {0.0, 1.0}
 
     def test_stochastic_tracks_intensity(self):
         d = Dataset(images=np.full((1, 1, 100, 100), 0.7))
-        out = binarize(d, mode="stochastic", seed=0)
+        out = binarize(d, mode="sample", seed=0)
         assert abs(out.images.mean() - 0.7) <= 0.02
 
     def test_unknown_mode(self, rng):

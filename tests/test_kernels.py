@@ -1,9 +1,11 @@
-"""Backend agreement and hand-value checks for the compiled kernels."""
+"""Kernel checks: NumPy kernels against a test-only oracle, backend
+agreement with the compiled extension, and hand-checkable values."""
 
 import numpy as np
 import pytest
 
-from kpp import backend
+import kernels_reference as ref
+from kpp import _kernels_np, backend
 
 BACKENDS = backend.get_backends()
 PAIRS = pytest.mark.skipif(len(BACKENDS) < 2,
@@ -13,6 +15,85 @@ PAIRS = pytest.mark.skipif(len(BACKENDS) < 2,
 def _pair(fn_name, *args):
     outs = [getattr(mod, fn_name)(*args) for mod in BACKENDS.values()]
     return outs
+
+
+STRIDE_PAD = [(1, 0), (1, 1), (2, 1), (3, 2)]
+KERNEL_SIZES = [3, 4]
+
+
+def _out_size(size, k, stride, pad):
+    return (size + 2 * pad - k) // stride + 1
+
+
+class TestOracle:
+    """The NumPy kernels match the per-tap / np.add.at reference kernels."""
+
+    @pytest.mark.parametrize("k", KERNEL_SIZES)
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_conv2d_forward(self, rng, stride, pad, k):
+        x = rng.normal(size=(3, 4, 9, 11))
+        w = rng.normal(size=(5, 4, k, k))
+        got = _kernels_np.conv2d_forward(x, w, stride, pad)
+        expect = ref.conv2d_forward(x, w, stride, pad)
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("k", KERNEL_SIZES)
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_conv2d_input_grad(self, rng, stride, pad, k):
+        h, wid = 9, 11
+        w = rng.normal(size=(5, 4, k, k))
+        gy = rng.normal(size=(2, 5, _out_size(h, k, stride, pad), _out_size(wid, k, stride, pad)))
+        got = _kernels_np.conv2d_input_grad(gy, w, stride, pad, h, wid)
+        expect = ref.conv2d_input_grad(gy, w, stride, pad, h, wid)
+        assert got.shape == (2, 4, h, wid)
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("k", KERNEL_SIZES)
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_conv2d_kernel_grad(self, rng, stride, pad, k):
+        h, wid = 9, 11
+        x = rng.normal(size=(2, 4, h, wid))
+        gy = rng.normal(size=(2, 5, _out_size(h, k, stride, pad), _out_size(wid, k, stride, pad)))
+        got = _kernels_np.conv2d_kernel_grad(gy, x, stride, pad, k, k)
+        expect = ref.conv2d_kernel_grad(gy, x, stride, pad, k, k)
+        assert got.shape == (5, 4, k, k)
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    def test_conv_transpose_layer_shape(self, rng):
+        """4x4 stride-2 pad-1, as every convT layer uses it: the transposed
+        conv runs conv2d_input_grad forward and the other two backward."""
+        x = rng.normal(size=(3, 6, 4, 4))
+        w = rng.normal(size=(6, 5, 4, 4))
+        y = _kernels_np.conv2d_input_grad(x, w, 2, 1, 8, 8)
+        assert np.max(np.abs(y - ref.conv2d_input_grad(x, w, 2, 1, 8, 8))) <= 1e-12
+        gy = rng.normal(size=y.shape)
+        assert np.max(np.abs(_kernels_np.conv2d_forward(gy, w, 2, 1)
+                             - ref.conv2d_forward(gy, w, 2, 1))) <= 1e-12
+        assert np.max(np.abs(_kernels_np.conv2d_kernel_grad(x, gy, 2, 1, 4, 4)
+                             - ref.conv2d_kernel_grad(x, gy, 2, 1, 4, 4))) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 4, 3, 5, 6, 7, 9), (3, 2, 1, 16, 16, 8, 8)])
+    def test_bilinear_image_grad(self, rng, shape):
+        b, g, c, gh, gw, h, w = shape
+        grid = rng.uniform(-1.3, 1.3, size=(b, g, gh, gw, 2))
+        gy = rng.normal(size=(b, g, c, gh, gw))
+        got = _kernels_np.bilinear_image_grad(gy, grid, h, w)
+        expect = ref.bilinear_image_grad(gy, grid, h, w)
+        assert got.shape == (b, c, h, w)
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    def test_bilinear_image_grad_off_canvas(self, rng):
+        """Corners that fall off the canvas add nothing; a read wholly
+        outside gives a zero gradient."""
+        gy = rng.normal(size=(1, 1, 2, 3, 3))
+        grid = np.full((1, 1, 3, 3, 2), 1.6)   # pixel 5.2 on a 5-wide canvas
+        assert np.array_equal(_kernels_np.bilinear_image_grad(gy, grid, 5, 5),
+                              np.zeros((1, 2, 5, 5)))
+        grid[..., 0] = 1.0   # right edge: the x1 corners fall off
+        grid[..., 1] = 0.3
+        got = _kernels_np.bilinear_image_grad(gy, grid, 5, 5)
+        assert np.max(np.abs(got - ref.bilinear_image_grad(gy, grid, 5, 5))) <= 1e-12
 
 
 class TestAgreement:
