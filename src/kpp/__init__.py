@@ -6,8 +6,8 @@ import os
 # NumPy loads it, so they are set here, before this package imports NumPy;
 # caps already in the environment win.
 if os.environ.get("KPP_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["KPP_THREADS"])
+    os.environ.setdefault("OMP_NUM_THREADS", os.environ["KPP_THREADS"])
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", os.environ["KPP_THREADS"])
 
 from . import backend
 from .autodiff import GraphError, NonFiniteError, Tensor
