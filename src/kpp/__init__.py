@@ -9,7 +9,6 @@ if os.environ.get("KPP_THREADS"):
     os.environ.setdefault("OMP_NUM_THREADS", os.environ["KPP_THREADS"])
     os.environ.setdefault("OPENBLAS_NUM_THREADS", os.environ["KPP_THREADS"])
 
-from . import backend
 from .autodiff import GraphError, NonFiniteError, Tensor
 from .data import Dataset, EpisodeSampler, binarize, inject_noise, load_idx, synth_shapes
 from .distributions import (
@@ -22,7 +21,7 @@ from .distributions import (
 )
 from .nets import Episode, Memory, MemoryVAE, ModelConfig, load_checkpoint, save_checkpoint
 from .objective import ElboBreakdown, denoise, elbo, elbo_graph, generate, iterative_read, perturbed_generate
-from .stn import KeyTriple, TraceSet, affine_grid, bilinear_sample, read_traces
+from .stn import read_traces
 from .trainer import DivergenceError, MetricsRow, TrainConfig, adam_step, eval_conditional, lr_at, train
 
 __version__ = "0.1.0"

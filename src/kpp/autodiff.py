@@ -9,7 +9,7 @@ hard error, not a warning.
 
 import numpy as np
 
-from . import backend
+from . import kernels
 
 class NonFiniteError(ArithmeticError):
     """Raised when a forward op produces NaN or Inf."""
@@ -369,14 +369,15 @@ def conv2d(x, w, stride=1, pad=0):
         raise ValueError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
     xc = np.ascontiguousarray(x.data)
     wc = np.ascontiguousarray(w.data)
-    out = backend.kernels.conv2d_forward(xc, wc, stride, pad)
+    out = kernels.conv2d_forward(xc, wc, stride, pad)
     h, wid = x.shape[2], x.shape[3]
     kh, kw = w.shape[2], w.shape[3]
 
     def bwd(gy):
         gy = np.ascontiguousarray(gy)
-        accumulate(x, backend.kernels.conv2d_input_grad(gy, wc, stride, pad, h, wid))
-        accumulate(w, backend.kernels.conv2d_kernel_grad(gy, xc, stride, pad, kh, kw))
+        if x.requires_grad:
+            accumulate(x, kernels.conv2d_input_grad(gy, wc, stride, pad, h, wid))
+        accumulate(w, kernels.conv2d_kernel_grad(gy, xc, stride, pad, kh, kw))
 
     return make_node("conv2d", out, (x, w), bwd)
 
@@ -399,12 +400,12 @@ def conv_transpose2d(x, w, stride=1, pad=0):
         raise ValueError(f"conv_transpose2d output would be empty for input {x.shape} kernel {w.shape}")
     xc = np.ascontiguousarray(x.data)
     wc = np.ascontiguousarray(w.data)
-    out = backend.kernels.conv2d_input_grad(xc, wc, stride, pad, ho, wo)
+    out = kernels.conv2d_input_grad(xc, wc, stride, pad, ho, wo)
 
     def bwd(gy):
         gy = np.ascontiguousarray(gy)
-        accumulate(x, backend.kernels.conv2d_forward(gy, wc, stride, pad))
-        accumulate(w, backend.kernels.conv2d_kernel_grad(xc, gy, stride, pad, kh, kw))
+        accumulate(x, kernels.conv2d_forward(gy, wc, stride, pad))
+        accumulate(w, kernels.conv2d_kernel_grad(xc, gy, stride, pad, kh, kw))
 
     return make_node("conv_transpose2d", out, (x, w), bwd)
 
@@ -427,13 +428,13 @@ def bilinear_sample(images, grid):
         )
     ic = np.ascontiguousarray(images.data)
     gc = np.ascontiguousarray(grid.data)
-    out = backend.kernels.bilinear_forward(ic, gc)
+    out = kernels.bilinear_forward(ic, gc)
     h, w = images.shape[2], images.shape[3]
 
     def bwd(gy):
         gy = np.ascontiguousarray(gy)
-        accumulate(images, backend.kernels.bilinear_image_grad(gy, gc, h, w))
-        accumulate(grid, backend.kernels.bilinear_grid_grad(gy, ic, gc))
+        accumulate(images, kernels.bilinear_image_grad(gy, gc, h, w))
+        accumulate(grid, kernels.bilinear_grid_grad(gy, ic, gc))
 
     return make_node("bilinear_sample", out, (images, grid), bwd)
 

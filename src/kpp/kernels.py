@@ -1,14 +1,13 @@
-"""NumPy implementations of the hot kernels.
+"""The hot kernels: strided convolution and bilinear sampling, forward and
+backward, in NumPy.
 
 The convolutions run as BLAS matrix products: the forward pass and the
 kernel gradient over an im2col matrix built from a ``sliding_window_view``
 of the padded input, the input gradient as one product per kernel tap
 added into its strided window.  The bilinear image gradient is a single
-``np.bincount`` scatter.  ``backend`` uses these kernels unless the
-optional compiled extension (``_kernels.pyx``) is importable; the two must
-agree to float64 rounding noise: float64, zero padding, and the "corners
-map to +/-1" grid convention where a normalized coordinate c maps to pixel
-(c + 1) / 2 * (size - 1).
+``np.bincount`` scatter.  Conventions: float64, zero padding, and the
+"corners map to +/-1" grid convention where a normalized coordinate c maps
+to pixel (c + 1) / 2 * (size - 1).
 """
 
 import numpy as np
@@ -101,25 +100,29 @@ def _corners(px, py, h, w):
     return (cx0, cx1, cy0, cy1), (vx0, vx1, vy0, vy1), fx, fy
 
 
-def bilinear_forward(images, grid):
-    """Sample images (B,C,H,W) at grid (B,G,h,w,2) of normalized (x,y) coords.
-
-    Returns (B,G,C,h,w).  Coordinates outside [-1, 1] read zeros.
-    """
-    b, c, h, w = images.shape
-    bg, g, gh, gw, two = grid.shape
+def _corner_values(images, grid):
+    """Image values (B,G,h,w,C) at the four bilinear corners of every grid
+    point, in (y0x0, y0x1, y1x0, y1x1) order and zero where the corner is
+    off the canvas, with the fractional offsets fx, fy."""
+    b, _, h, w = images.shape
     px, py = _grid_to_pixels(grid, h, w)
     (cx0, cx1, cy0, cy1), (vx0, vx1, vy0, vy1), fx, fy = _corners(px, py, h, w)
     bidx = np.arange(b).reshape(b, 1, 1, 1)
 
     def gather(cy, cx, valid):
-        vals = images[bidx, :, cy, cx]          # (B,G,h,w,C)
-        return vals * valid[..., None]
+        return images[bidx, :, cy, cx] * valid[..., None]
 
-    v00 = gather(cy0, cx0, vy0 & vx0)
-    v01 = gather(cy0, cx1, vy0 & vx1)
-    v10 = gather(cy1, cx0, vy1 & vx0)
-    v11 = gather(cy1, cx1, vy1 & vx1)
+    corners = (gather(cy0, cx0, vy0 & vx0), gather(cy0, cx1, vy0 & vx1),
+               gather(cy1, cx0, vy1 & vx0), gather(cy1, cx1, vy1 & vx1))
+    return corners, fx, fy
+
+
+def bilinear_forward(images, grid):
+    """Sample images (B,C,H,W) at grid (B,G,h,w,2) of normalized (x,y) coords.
+
+    Returns (B,G,C,h,w).  Coordinates outside [-1, 1] read zeros.
+    """
+    (v00, v01, v10, v11), fx, fy = _corner_values(images, grid)
     w00 = ((1 - fx) * (1 - fy))[..., None]
     w01 = (fx * (1 - fy))[..., None]
     w10 = ((1 - fx) * fy)[..., None]
@@ -147,19 +150,8 @@ def bilinear_image_grad(gy, grid, h, w):
 
 def bilinear_grid_grad(gy, images, grid):
     """Gradient of bilinear_forward w.r.t. the normalized grid coordinates."""
-    b, c, h, w = images.shape
-    px, py = _grid_to_pixels(grid, h, w)
-    (cx0, cx1, cy0, cy1), (vx0, vx1, vy0, vy1), fx, fy = _corners(px, py, h, w)
-    bidx = np.arange(b).reshape(b, 1, 1, 1)
-
-    def gather(cy, cx, valid):
-        vals = images[bidx, :, cy, cx]
-        return vals * valid[..., None]
-
-    v00 = gather(cy0, cx0, vy0 & vx0)
-    v01 = gather(cy0, cx1, vy0 & vx1)
-    v10 = gather(cy1, cx0, vy1 & vx0)
-    v11 = gather(cy1, cx1, vy1 & vx1)
+    h, w = images.shape[2:]
+    (v00, v01, v10, v11), fx, fy = _corner_values(images, grid)
     gyc = np.moveaxis(gy, 2, -1)                 # (B,G,h,w,C)
     # d out / d px and d out / d py, contracted with gy over channels
     dpx = np.einsum(

@@ -20,7 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .distributions import DiagGaussian
-from . import stn
 
 CHECKPOINT_MAGIC = b"KPP1"
 CONFIG_KEY = "__config__"
@@ -368,15 +367,8 @@ class MemoryVAE:
         return self._gauss_head(h, "post.out", (self.config.L,))
 
     def readout_prior(self, traces) -> DiagGaussian:
-        """Latent prior from K read traces, stacked along channels.
-
-        Accepts a TraceSet (one sample) or a (T, K, C, h, w) tensor.
-        """
-        single = isinstance(traces, stn.TraceSet)
-        x = traces.traces if single else traces
-        x = ad.tensor(x) if not isinstance(x, Tensor) else x
-        if single:
-            x = ad.reshape(x, (1,) + x.shape)
+        """Latent prior from (T, K, C, h, w) read traces, stacked along channels."""
+        x = ad.tensor(traces) if not isinstance(traces, Tensor) else traces
         if len(x.shape) != 5:
             raise ValueError(f"readout_prior expects (T,K,C,h,w) traces, got {x.shape}")
         t, k = x.shape[0], x.shape[1]

@@ -82,24 +82,19 @@ def _recon_term(model, logits, target):
     return gaussian_log_prob(DiagGaussian(mean=flat_out, log_std=log_std), flat_x)
 
 
-def memory_and_traces(model, emb, squashed_keys):
-    """Write the episode memory and crop one trace set per sample."""
-    t = squashed_keys.shape[0]
-    memory = model.write_memory(emb)
-    mem_b = ad.broadcast_to(
-        ad.reshape(memory.grid, (1,) + memory.shape), (t,) + memory.shape
-    )
-    traces = stn.sample_traces(mem_b, squashed_keys, model.config.trace_size)
-    return memory, traces
+def read_memory(model, memory: Memory, squashed_keys):
+    """Crop K traces per sample from one memory: keys (T,K,3) -> (T,K,C,h,w).
 
-
-def read_traces_fixed(model, memory: Memory, squashed_keys):
-    """Crop traces from an already-written memory (held fixed)."""
-    t = squashed_keys.shape[0]
-    mem_b = ad.broadcast_to(
-        ad.reshape(memory.grid, (1,) + memory.shape), (t,) + memory.shape
+    All T*K windows are read from the single memory in one sampling call, so
+    its image gradient is scattered once rather than once per sample.
+    """
+    t, k = squashed_keys.shape[:2]
+    traces = stn.sample_traces(
+        ad.reshape(memory.grid, (1,) + memory.shape),
+        ad.reshape(squashed_keys, (1, t * k, 3)),
+        model.config.trace_size,
     )
-    return stn.sample_traces(mem_b, squashed_keys, model.config.trace_size)
+    return ad.reshape(traces, (t, k) + traces.shape[2:])
 
 
 def elbo_graph(model: MemoryVAE, episode, rng):
@@ -130,7 +125,9 @@ def elbo_graph(model: MemoryVAE, episode, rng):
             y = reparam_sample(kq, eps_y)
             y_sq = ad.tanh(y)
         with _Stage("write_memory"):
-            memory, traces = memory_and_traces(model, emb, y_sq)
+            memory = model.write_memory(emb)
+        with _Stage("read_memory"):
+            traces = read_memory(model, memory, y_sq)
         with _Stage("readout_prior"):
             zp = model.readout_prior(traces)
         with _Stage("kl_y"):
@@ -188,7 +185,7 @@ def generate(memory: Memory, n: int, model: MemoryVAE, rng_seed) -> np.ndarray:
 
 def _generate_from_raw_keys(memory, raw_keys, model):
     keys = ad.tanh(ad.constant(raw_keys))
-    traces = read_traces_fixed(model, memory, keys)
+    traces = read_memory(model, memory, keys)
     zp = model.readout_prior(traces)
     out = _decode_output(model, zp.mean)
     return out.data.copy()
@@ -225,7 +222,7 @@ def iterative_read(memory: Memory, x_init, steps: int, model: MemoryVAE,
         kq = model.key_posterior(emb)
         eps_y = ad.constant(rng.standard_normal((1, model.config.K, 3)))
         y_sq = ad.tanh(reparam_sample(kq, eps_y))
-        traces = read_traces_fixed(model, memory, y_sq)
+        traces = read_memory(model, memory, y_sq)
         zp = model.readout_prior(traces)
         out = _decode_output(model, zp.mean)
         x_hat = out.data[0].copy()

@@ -8,40 +8,10 @@ coordinates into a differentiable crop.  Gradients reach only the
 memory cells actually touched by the sampling footprint.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-
-@dataclass
-class KeyTriple:
-    """Unbounded 3-vector (s, x, y); squashed() maps it into (-1,1)^3."""
-
-    raw: np.ndarray
-
-    def __post_init__(self):
-        self.raw = np.asarray(self.raw, dtype=np.float64)
-        if self.raw.shape != (3,):
-            raise ValueError(f"KeyTriple needs shape (3,), got {self.raw.shape}")
-
-    def squashed(self) -> np.ndarray:
-        return np.tanh(self.raw)
-
-
-@dataclass
-class TraceSet:
-    """K crops of one memory, stacked as a (K, C, h, w) tensor."""
-
-    traces: Tensor
-
-    def __len__(self):
-        return self.traces.shape[0]
-
-    def __getitem__(self, k) -> Tensor:
-        return ad.slice_(self.traces, k)
 
 
 def _target_coords(out_h, out_w):
@@ -84,54 +54,17 @@ def sample_traces(memory: Tensor, keys: Tensor, out_size) -> Tensor:
     return ad.bilinear_sample(memory, grid)
 
 
-def affine_grid(key, out_h: int, out_w: int) -> Tensor:
-    """Sampling grid (h, w, 2) for one squashed key 3-vector."""
-    key = ad.tensor(key) if not isinstance(key, Tensor) else key
-    if key.shape != (3,):
-        raise ValueError(f"affine_grid expects a 3-vector key, got {key.shape}")
-    grid = grid_from_keys(ad.reshape(key, (1, 1, 3)), out_h, out_w)
-    return ad.reshape(grid, (out_h, out_w, 2))
-
-
-def bilinear_sample(image: Tensor, grid: Tensor) -> Tensor:
-    """Sample one image (C,H,W) at one grid (h,w,2) -> (C,h,w)."""
-    image = ad.tensor(image) if not isinstance(image, Tensor) else image
-    grid = ad.tensor(grid) if not isinstance(grid, Tensor) else grid
-    if len(image.shape) != 3:
-        raise ValueError(f"bilinear_sample expects a (C,H,W) image, got {image.shape}")
-    if len(grid.shape) != 3 or grid.shape[-1] != 2:
-        raise ValueError(f"bilinear_sample expects an (h,w,2) grid, got {grid.shape}")
-    h, w = grid.shape[0], grid.shape[1]
-    out = ad.bilinear_sample(
-        ad.reshape(image, (1,) + image.shape),
-        ad.reshape(grid, (1, 1) + grid.shape),
-    )
-    return ad.reshape(out, out.shape[2:])
-
-
-def read_traces(memory: Tensor, keys, out_size) -> TraceSet:
-    """Extract K crops of one memory (C,H,W).
-
-    keys may be a (K, 3) tensor of already-squashed triples or a list of
-    KeyTriple (squashed here).  Every crop shares the configured out_size.
-    """
+def read_traces(memory: Tensor, keys, out_size) -> Tensor:
+    """Crop one memory (C,H,W) with squashed keys (K,3) -> (K,C,h,w)."""
     memory = ad.tensor(memory) if not isinstance(memory, Tensor) else memory
+    keys = ad.tensor(keys) if not isinstance(keys, Tensor) else keys
     if len(memory.shape) != 3:
         raise ValueError(f"read_traces expects a (C,H,W) memory, got {memory.shape}")
-    if isinstance(keys, (list, tuple)):
-        if len(keys) == 0:
-            raise ValueError("read_traces needs at least one key")
-        rows = [k.squashed() if isinstance(k, KeyTriple) else np.asarray(k, dtype=np.float64)
-                for k in keys]
-        keys = ad.constant(np.stack(rows))
-    elif not isinstance(keys, Tensor):
-        keys = ad.tensor(np.asarray(keys, dtype=np.float64))
     if len(keys.shape) != 2 or keys.shape[1] != 3 or keys.shape[0] < 1:
         raise ValueError(f"read_traces expects (K, 3) keys, got {keys.shape}")
-    k = keys.shape[0]
     out = sample_traces(
         ad.reshape(memory, (1,) + memory.shape),
-        ad.reshape(keys, (1, k, 3)),
+        ad.reshape(keys, (1,) + keys.shape),
         out_size,
     )
-    return TraceSet(traces=ad.reshape(out, out.shape[1:]))
+    return ad.reshape(out, out.shape[1:])

@@ -1,5 +1,5 @@
 """Test-only reference kernels: the per-tap einsum convolutions and the
-``np.add.at`` bilinear scatter that ``kpp._kernels_np`` used before it moved
+``np.add.at`` bilinear scatter that ``kpp.kernels`` used before it moved
 to im2col products and ``np.bincount``.
 
 Slow but direct: each kernel tap and each bilinear corner is one visible

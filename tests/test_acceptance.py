@@ -202,7 +202,7 @@ def test_c2_spatial_transformer_oracle(capsys, rng):
         grid = ad.parameter(rng.random((2, 12, 14)))
         k = np.array([0.5, 0.0, 0.0]) if trial == 0 else np.tanh(rng.normal(size=3))
         ts = read_traces(grid, ad.constant(k[None, :]), (5, 7))
-        ad.backward(ad.sum_(ts.traces))
+        ad.backward(ad.sum_(ts))
         allowed = contributing_cells((2, 12, 14), k, 5, 7)
         for yy in range(12):
             for xx in range(14):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kpp import autodiff as ad
+from kpp import kernels
 from kpp.autodiff import GraphError, NonFiniteError
 
 from conftest import check_op_gradient, fd_grad, rel_err
@@ -150,6 +151,18 @@ def test_conv_transpose_is_conv_adjoint(rng):
     lhs = float((conv_x * y).sum())
     rhs = float((x * convT_y).sum())
     assert rel_err(lhs, rhs) <= 1e-12
+
+
+def test_conv2d_skips_input_grad_of_constant_input(rng, monkeypatch):
+    calls = []
+    input_grad = kernels.conv2d_input_grad
+    monkeypatch.setattr(kernels, "conv2d_input_grad",
+                        lambda *args: calls.append(args) or input_grad(*args))
+    x = ad.constant(r(rng, 2, 3, 6, 6))
+    w = ad.parameter(r(rng, 4, 3, 3, 3))
+    ad.backward(ad.sum_(ad.conv2d(x, w, stride=2, pad=1)))
+    assert len(calls) == 0
+    assert x.grad is None and w.grad is not None
 
 
 def test_bilinear_sample_gradient():

@@ -1,20 +1,11 @@
-"""Kernel checks: NumPy kernels against a test-only oracle, backend
-agreement with the compiled extension, and hand-checkable values."""
+"""Kernel checks: the NumPy kernels against a test-only oracle, and
+hand-checkable values."""
 
 import numpy as np
 import pytest
 
 import kernels_reference as ref
-from kpp import _kernels_np, backend
-
-BACKENDS = backend.get_backends()
-PAIRS = pytest.mark.skipif(len(BACKENDS) < 2,
-                           reason="compiled backend not built; nothing to compare")
-
-
-def _pair(fn_name, *args):
-    outs = [getattr(mod, fn_name)(*args) for mod in BACKENDS.values()]
-    return outs
+from kpp import kernels
 
 
 STRIDE_PAD = [(1, 0), (1, 1), (2, 1), (3, 2)]
@@ -33,7 +24,7 @@ class TestOracle:
     def test_conv2d_forward(self, rng, stride, pad, k):
         x = rng.normal(size=(3, 4, 9, 11))
         w = rng.normal(size=(5, 4, k, k))
-        got = _kernels_np.conv2d_forward(x, w, stride, pad)
+        got = kernels.conv2d_forward(x, w, stride, pad)
         expect = ref.conv2d_forward(x, w, stride, pad)
         assert got.shape == expect.shape
         assert np.max(np.abs(got - expect)) <= 1e-12
@@ -44,7 +35,7 @@ class TestOracle:
         h, wid = 9, 11
         w = rng.normal(size=(5, 4, k, k))
         gy = rng.normal(size=(2, 5, _out_size(h, k, stride, pad), _out_size(wid, k, stride, pad)))
-        got = _kernels_np.conv2d_input_grad(gy, w, stride, pad, h, wid)
+        got = kernels.conv2d_input_grad(gy, w, stride, pad, h, wid)
         expect = ref.conv2d_input_grad(gy, w, stride, pad, h, wid)
         assert got.shape == (2, 4, h, wid)
         assert np.max(np.abs(got - expect)) <= 1e-12
@@ -55,7 +46,7 @@ class TestOracle:
         h, wid = 9, 11
         x = rng.normal(size=(2, 4, h, wid))
         gy = rng.normal(size=(2, 5, _out_size(h, k, stride, pad), _out_size(wid, k, stride, pad)))
-        got = _kernels_np.conv2d_kernel_grad(gy, x, stride, pad, k, k)
+        got = kernels.conv2d_kernel_grad(gy, x, stride, pad, k, k)
         expect = ref.conv2d_kernel_grad(gy, x, stride, pad, k, k)
         assert got.shape == (5, 4, k, k)
         assert np.max(np.abs(got - expect)) <= 1e-12
@@ -65,12 +56,12 @@ class TestOracle:
         conv runs conv2d_input_grad forward and the other two backward."""
         x = rng.normal(size=(3, 6, 4, 4))
         w = rng.normal(size=(6, 5, 4, 4))
-        y = _kernels_np.conv2d_input_grad(x, w, 2, 1, 8, 8)
+        y = kernels.conv2d_input_grad(x, w, 2, 1, 8, 8)
         assert np.max(np.abs(y - ref.conv2d_input_grad(x, w, 2, 1, 8, 8))) <= 1e-12
         gy = rng.normal(size=y.shape)
-        assert np.max(np.abs(_kernels_np.conv2d_forward(gy, w, 2, 1)
+        assert np.max(np.abs(kernels.conv2d_forward(gy, w, 2, 1)
                              - ref.conv2d_forward(gy, w, 2, 1))) <= 1e-12
-        assert np.max(np.abs(_kernels_np.conv2d_kernel_grad(x, gy, 2, 1, 4, 4)
+        assert np.max(np.abs(kernels.conv2d_kernel_grad(x, gy, 2, 1, 4, 4)
                              - ref.conv2d_kernel_grad(x, gy, 2, 1, 4, 4))) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(2, 4, 3, 5, 6, 7, 9), (3, 2, 1, 16, 16, 8, 8)])
@@ -78,7 +69,7 @@ class TestOracle:
         b, g, c, gh, gw, h, w = shape
         grid = rng.uniform(-1.3, 1.3, size=(b, g, gh, gw, 2))
         gy = rng.normal(size=(b, g, c, gh, gw))
-        got = _kernels_np.bilinear_image_grad(gy, grid, h, w)
+        got = kernels.bilinear_image_grad(gy, grid, h, w)
         expect = ref.bilinear_image_grad(gy, grid, h, w)
         assert got.shape == (b, c, h, w)
         assert np.max(np.abs(got - expect)) <= 1e-12
@@ -88,85 +79,28 @@ class TestOracle:
         outside gives a zero gradient."""
         gy = rng.normal(size=(1, 1, 2, 3, 3))
         grid = np.full((1, 1, 3, 3, 2), 1.6)   # pixel 5.2 on a 5-wide canvas
-        assert np.array_equal(_kernels_np.bilinear_image_grad(gy, grid, 5, 5),
+        assert np.array_equal(kernels.bilinear_image_grad(gy, grid, 5, 5),
                               np.zeros((1, 2, 5, 5)))
         grid[..., 0] = 1.0   # right edge: the x1 corners fall off
         grid[..., 1] = 0.3
-        got = _kernels_np.bilinear_image_grad(gy, grid, 5, 5)
+        got = kernels.bilinear_image_grad(gy, grid, 5, 5)
         assert np.max(np.abs(got - ref.bilinear_image_grad(gy, grid, 5, 5))) <= 1e-12
 
 
-class TestAgreement:
-    """Both backends must produce identical results to rounding noise."""
-
-    @PAIRS
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
-    def test_conv2d_forward(self, rng, stride, pad):
-        x = rng.normal(size=(3, 4, 9, 11))
-        w = rng.normal(size=(5, 4, 3, 3))
-        a, b = _pair("conv2d_forward", x, w, stride, pad)
-        assert a.shape == b.shape
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-    @PAIRS
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
-    def test_conv2d_input_grad(self, rng, stride, pad):
-        h, wid = 8, 10
-        w = rng.normal(size=(5, 4, 3, 3))
-        ho = (h + 2 * pad - 3) // stride + 1
-        wo = (wid + 2 * pad - 3) // stride + 1
-        gy = rng.normal(size=(2, 5, ho, wo))
-        a, b = _pair("conv2d_input_grad", gy, w, stride, pad, h, wid)
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-    @PAIRS
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
-    def test_conv2d_kernel_grad(self, rng, stride, pad):
-        h, wid = 8, 10
-        x = rng.normal(size=(2, 4, h, wid))
-        ho = (h + 2 * pad - 3) // stride + 1
-        wo = (wid + 2 * pad - 3) // stride + 1
-        gy = rng.normal(size=(2, 5, ho, wo))
-        a, b = _pair("conv2d_kernel_grad", gy, x, stride, pad, 3, 3)
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-    @PAIRS
-    def test_bilinear_forward(self, rng):
-        imgs = rng.normal(size=(2, 3, 7, 9))
-        grid = rng.uniform(-1.3, 1.3, size=(2, 4, 5, 6, 2))
-        a, b = _pair("bilinear_forward", imgs, grid)
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-    @PAIRS
-    def test_bilinear_image_grad(self, rng):
-        grid = rng.uniform(-1.3, 1.3, size=(2, 4, 5, 6, 2))
-        gy = rng.normal(size=(2, 4, 3, 5, 6))
-        a, b = _pair("bilinear_image_grad", gy, grid, 7, 9)
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-    @PAIRS
-    def test_bilinear_grid_grad(self, rng):
-        imgs = rng.normal(size=(2, 3, 7, 9))
-        grid = rng.uniform(-1.3, 1.3, size=(2, 4, 5, 6, 2))
-        gy = rng.normal(size=(2, 4, 3, 5, 6))
-        a, b = _pair("bilinear_grid_grad", gy, imgs, grid)
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-
 class TestSemantics:
-    """Hand-checkable values on the active backend."""
+    """Hand-checkable values."""
 
     def test_conv2d_hand_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0  # center tap: identity for stride 1, pad 1
-        y = backend.kernels.conv2d_forward(x, w, 1, 1)
+        y = kernels.conv2d_forward(x, w, 1, 1)
         assert np.array_equal(y, x)
 
     def test_conv2d_matches_direct_correlation(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
-        y = backend.kernels.conv2d_forward(x, w, 1, 0)
+        y = kernels.conv2d_forward(x, w, 1, 0)
         expect = np.zeros((1, 3, 3, 3))
         for f in range(3):
             for oy in range(3):
@@ -177,41 +111,41 @@ class TestSemantics:
     def test_input_grad_is_adjoint_of_forward(self, rng):
         x = rng.normal(size=(2, 3, 8, 8))
         w = rng.normal(size=(4, 3, 3, 3))
-        y = backend.kernels.conv2d_forward(x, w, 2, 1)
+        y = kernels.conv2d_forward(x, w, 2, 1)
         gy = rng.normal(size=y.shape)
-        gx = backend.kernels.conv2d_input_grad(gy, w, 2, 1, 8, 8)
+        gx = kernels.conv2d_input_grad(gy, w, 2, 1, 8, 8)
         assert abs((y * gy).sum() - (x * gx).sum()) <= 1e-9
 
     def test_kernel_grad_matches_fd(self, rng):
         x = rng.normal(size=(1, 2, 6, 6))
         w = rng.normal(size=(2, 2, 3, 3))
         gy = rng.normal(size=(1, 2, 3, 3))
-        gw = backend.kernels.conv2d_kernel_grad(gy, x, 2, 1, 3, 3)
+        gw = kernels.conv2d_kernel_grad(gy, x, 2, 1, 3, 3)
         h = 1e-6
         for idx in [(0, 0, 0, 0), (1, 1, 2, 2), (0, 1, 1, 0)]:
             wp, wm = w.copy(), w.copy()
             wp[idx] += h
             wm[idx] -= h
-            fp = (backend.kernels.conv2d_forward(x, wp, 2, 1) * gy).sum()
-            fm = (backend.kernels.conv2d_forward(x, wm, 2, 1) * gy).sum()
+            fp = (kernels.conv2d_forward(x, wp, 2, 1) * gy).sum()
+            fm = (kernels.conv2d_forward(x, wm, 2, 1) * gy).sum()
             assert abs(gw[idx] - (fp - fm) / (2 * h)) <= 1e-5
 
     def test_bilinear_ramp_value(self):
         img = np.arange(5.0).reshape(1, 1, 1, 5)
         # pixel x = 1.25 on a 5-wide row is normalized c = 1.25 / 2 - 1
         grid = np.array([[[[[1.25 / 2 - 1, -1.0]]]]])
-        out = backend.kernels.bilinear_forward(img, grid)
+        out = kernels.bilinear_forward(img, grid)
         assert out.shape == (1, 1, 1, 1, 1)
         assert abs(out[0, 0, 0, 0, 0] - 1.25) <= 1e-12
 
     def test_bilinear_out_of_range_reads_zero(self, rng):
         imgs = rng.normal(size=(1, 2, 4, 4))
         grid = np.full((1, 1, 2, 2, 2), 5.0)  # far outside [-1, 1]
-        out = backend.kernels.bilinear_forward(imgs, grid)
+        out = kernels.bilinear_forward(imgs, grid)
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_conv_shapes_empty_output_error(self, rng):
         x = rng.normal(size=(1, 1, 2, 2))
         w = rng.normal(size=(1, 1, 5, 5))
         with pytest.raises(ValueError):
-            backend.kernels.conv2d_forward(x, w, 1, 0)
+            kernels.conv2d_forward(x, w, 1, 0)

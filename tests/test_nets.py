@@ -15,7 +15,6 @@ from kpp.nets import (
     tsm_shift,
 )
 from kpp.objective import elbo_graph
-from kpp.stn import TraceSet
 
 from conftest import fd_grad, rel_err
 
@@ -280,16 +279,6 @@ class TestGaussianHeads:
 
 
 class TestReadoutPrior:
-    def test_traceset_path_matches_tensor_path(self, rng):
-        cfg = tiny_conv_cfg()
-        model = MemoryVAE(cfg, seed=9)
-        randomize(model, rng)
-        traces = rng.random((1, cfg.K, 1, 4, 4))
-        via_tensor = model.readout_prior(ad.constant(traces))
-        via_set = model.readout_prior(TraceSet(traces=ad.constant(traces[0])))
-        assert np.array_equal(via_tensor.mean.data, via_set.mean.data)
-        assert np.array_equal(via_tensor.log_std.data, via_set.log_std.data)
-
     def test_trace_count_mismatch_rejected(self, rng):
         model = MemoryVAE(tiny_conv_cfg(K=1), seed=0)
         with pytest.raises(ValueError):

@@ -19,9 +19,8 @@ from kpp.objective import (
     elbo_graph,
     generate,
     iterative_read,
-    memory_and_traces,
     perturbed_generate,
-    read_traces_fixed,
+    read_memory,
 )
 from kpp.stn import sample_traces
 
@@ -215,14 +214,16 @@ class TestHandModelOracle:
 
     def test_trace_path_matches_reference_crop(self, rng):
         # ties the in-graph trace extraction to the brute-force crop oracle
-        model = MemoryVAE(hand_cfg(), seed=4)
+        model = MemoryVAE(hand_cfg(T=3, K=2), seed=4)
         randomize(model, rng)
-        emb = model.encode(ad.constant(rng.random((2, 1, 1, 1))))
-        keys = np.tanh(rng.normal(size=(2, 1, 3)))
-        memory, traces = memory_and_traces(model, emb, ad.constant(keys))
-        for t in range(2):
-            ref = reference_crop(memory.grid.data, keys[t, 0], 2, 2)
-            assert np.max(np.abs(traces.data[t, 0] - ref)) <= 1e-12
+        memory = model.write_memory(model.encode(ad.constant(rng.random((3, 1, 1, 1)))))
+        keys = np.tanh(rng.normal(size=(3, 2, 3)))
+        traces = read_memory(model, memory, ad.constant(keys))
+        assert traces.shape == (3, 2, 1, 2, 2)
+        for t in range(3):
+            for k in range(2):
+                ref = reference_crop(memory.grid.data, keys[t, k], 2, 2)
+                assert np.max(np.abs(traces.data[t, k] - ref)) <= 1e-12
 
 
 class TestBoundAndUnbiasedness:
@@ -407,7 +408,7 @@ class TestIterativeRead:
         kq = model.key_posterior(emb)
         eps = rr.standard_normal((1, model.config.K, 3))
         y = kq.mean.data + np.exp(kq.log_std.data) * eps
-        traces = read_traces_fixed(model, memory, ad.constant(np.tanh(y)))
+        traces = read_memory(model, memory, ad.constant(np.tanh(y)))
         zp = model.readout_prior(traces)
         want = ad.sigmoid(model.decode(zp.mean)).data[0]
         assert np.max(np.abs(got[0] - want)) <= 1e-12

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from kpp import autodiff as ad
-from kpp.stn import (
-    KeyTriple,
-    TraceSet,
-    affine_grid,
-    bilinear_sample,
-    grid_from_keys,
-    read_traces,
-    sample_traces,
-)
+from kpp.stn import grid_from_keys, read_traces, sample_traces
 
 from conftest import rel_err
 
@@ -59,28 +51,20 @@ def contributing_cells(shape, key, out_h, out_w):
     return cells
 
 
-class TestKeyTriple:
-    def test_squash_bounds(self, rng):
-        for _ in range(100):
-            raw = rng.normal(size=3) * 10
-            sq = KeyTriple(raw).squashed()
-            assert np.all(np.abs(sq) <= 1.0)
-            # strictly inside except where float64 tanh saturates
-            tight = np.abs(raw) < 18
-            assert np.all(np.abs(sq[tight]) < 1.0)
+def key_grid(key, out_h, out_w):
+    """Sampling grid (h, w, 2) of one squashed key, via the batched path."""
+    return grid_from_keys(ad.constant(np.reshape(key, (1, 1, 3))), out_h, out_w).data[0, 0]
 
-    def test_squash_is_tanh(self):
-        k = KeyTriple(np.array([0.0, 1.0, -2.0]))
-        assert np.array_equal(k.squashed(), np.tanh([0.0, 1.0, -2.0]))
 
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            KeyTriple(np.zeros(4))
+def crop(image, keys, out_size):
+    """Crop one image (C,H,W) with squashed keys (K,3) via the batched path."""
+    keys = ad.constant(np.reshape(keys, (1, -1, 3)))
+    return sample_traces(ad.constant(image[None]), keys, out_size).data[0]
 
 
 class TestAffineGrid:
     def test_identity_key(self):
-        g = affine_grid(np.array([1.0, 0.0, 0.0]), 5, 7).data
+        g = key_grid([1.0, 0.0, 0.0], 5, 7)
         tx = np.linspace(-1, 1, 7)
         ty = np.linspace(-1, 1, 5)
         assert np.max(np.abs(g[..., 0] - tx[None, :])) <= 1e-15
@@ -88,7 +72,7 @@ class TestAffineGrid:
 
     def test_half_window_offset(self):
         # squashed key (0.5, 0.3, 0.5): half-size window centered at (0.3, 0.5)
-        g = affine_grid(np.array([0.5, 0.3, 0.5]), 4, 4).data
+        g = key_grid([0.5, 0.3, 0.5], 4, 4)
         assert abs(g[..., 0].min() + 0.2) <= 1e-15
         assert abs(g[..., 0].max() - 0.8) <= 1e-15
         assert abs(g[..., 1].min() - 0.0) <= 1e-15
@@ -97,18 +81,18 @@ class TestAffineGrid:
         assert abs(g[..., 1].mean() - 0.5) <= 1e-12
 
     def test_pure_scaling_corner(self):
-        g = affine_grid(np.array([0.5, 0.0, 0.0]), 3, 3).data
+        g = key_grid([0.5, 0.0, 0.0], 3, 3)
         assert np.allclose(g[0, 0], [-0.5, -0.5], atol=1e-15)
         assert np.allclose(g[2, 2], [0.5, 0.5], atol=1e-15)
         assert np.allclose(g[1, 1], [0.0, 0.0], atol=1e-15)
 
     def test_size_one_grid_hits_center(self):
-        g = affine_grid(np.array([0.7, 0.2, -0.1]), 1, 1).data
+        g = key_grid([0.7, 0.2, -0.1], 1, 1)
         assert np.allclose(g[0, 0], [0.2, -0.1], atol=1e-15)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            affine_grid(np.zeros(2), 4, 4)
+            grid_from_keys(ad.constant(np.zeros((1, 1, 2))), 4, 4)
         with pytest.raises(ValueError):
             grid_from_keys(ad.constant(np.zeros((1, 1, 3))), 0, 4)
 
@@ -116,39 +100,36 @@ class TestAffineGrid:
 class TestBilinearSample:
     def test_identity_roundtrip(self, rng):
         img = rng.random((3, 6, 8))
-        grid = affine_grid(np.array([1.0, 0.0, 0.0]), 6, 8)
-        out = bilinear_sample(ad.constant(img), grid).data
-        assert np.max(np.abs(out - img)) <= 1e-12
+        out = crop(img, [1.0, 0.0, 0.0], (6, 8))
+        assert np.max(np.abs(out[0] - img)) <= 1e-12
 
     def test_ramp_midpoint(self):
-        # I[i, j] = j on a 5-wide row; pixel coordinate 1.25 reads 1.25
+        # I[i, j] = j on a 5-wide row; pixel coordinate 1.25 reads 1.25.
+        # A 1x1 crop samples the key's shift (x, y).
         img = np.arange(5.0)[None, None, :]
         px = 1.25
         cx = px / (5 - 1) * 2.0 - 1.0
-        grid = ad.constant(np.array([[[cx, 0.0]]]))
-        out = bilinear_sample(ad.constant(img), grid).data
-        assert abs(out[0, 0, 0] - 1.25) <= 1e-12
+        out = crop(img, [0.0, cx, 0.0], (1, 1))
+        assert abs(out[0, 0, 0, 0] - 1.25) <= 1e-12
 
     def test_out_of_bounds_zero(self):
         img = np.ones((1, 4, 4))
-        grid = ad.constant(np.array([[[-3.0, 0.0], [0.0, 3.0]]]))
-        out = bilinear_sample(ad.constant(img), grid).data
-        assert np.array_equal(out[0, 0], [0.0, 0.0])
+        out = crop(img, [[0.0, -3.0, 0.0], [0.0, 0.0, 3.0]], (1, 1))
+        assert np.array_equal(out[:, 0, 0, 0], [0.0, 0.0])
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
-            bilinear_sample(ad.constant(rng.random((4, 4))),
-                            ad.constant(np.zeros((2, 2, 2))))
+            sample_traces(ad.constant(rng.random((4, 4))),
+                          ad.constant(np.zeros((1, 1, 3))), (2, 2))
         with pytest.raises(ValueError):
-            bilinear_sample(ad.constant(rng.random((1, 4, 4))),
-                            ad.constant(np.zeros((2, 2, 3))))
+            sample_traces(ad.constant(rng.random((1, 1, 4, 4))),
+                          ad.constant(np.zeros((1, 1, 2))), (2, 2))
 
     def test_matches_reference_crop(self, rng):
         mem = rng.random((3, 9, 11))
         for _ in range(10):
             key = np.tanh(rng.normal(size=3))
-            out = bilinear_sample(ad.constant(mem),
-                                  affine_grid(key, 5, 6)).data
+            out = crop(mem, key, (5, 6))[0]
             assert np.max(np.abs(out - reference_crop(mem, key, 5, 6))) <= 1e-10
 
 
@@ -157,7 +138,7 @@ class TestReadTraces:
         mem = rng.random((3, 8, 8))
         ts = read_traces(ad.constant(mem),
                          ad.constant(np.array([[1.0, 0.0, 0.0]])), (8, 8))
-        assert isinstance(ts, TraceSet) and len(ts) == 1
+        assert ts.shape == (1, 3, 8, 8)
         assert np.max(np.abs(ts[0].data - mem)) <= 1e-12
 
     def test_appendix_window_against_bruteforce(self, rng):
@@ -173,14 +154,6 @@ class TestReadTraces:
         ts = read_traces(ad.constant(mem), keys, (5, 5))
         assert np.array_equal(ts[0].data, ts[1].data)
 
-    def test_keytriple_list_path(self, rng):
-        mem = rng.random((1, 12, 12))
-        raw = rng.normal(size=3)
-        via_list = read_traces(ad.constant(mem), [KeyTriple(raw)], (6, 6))
-        via_tensor = read_traces(ad.constant(mem),
-                                 ad.constant(np.tanh(raw)[None, :]), (6, 6))
-        assert np.array_equal(via_list[0].data, via_tensor[0].data)
-
     def test_zero_keys_rejected(self, rng):
         mem = ad.constant(rng.random((1, 8, 8)))
         with pytest.raises(ValueError):
@@ -192,7 +165,7 @@ class TestReadTraces:
         mem = ad.parameter(rng.random((1, 16, 16)))
         key = np.array([0.5, 0.0, 0.0])
         ts = read_traces(mem, ad.constant(key[None, :]), (8, 8))
-        ad.backward(ad.sum_(ts.traces))
+        ad.backward(ad.sum_(ts))
         allowed = contributing_cells((1, 16, 16), key, 8, 8)
         for yy in range(16):
             for xx in range(16):
@@ -206,7 +179,7 @@ class TestReadTraces:
             mem = ad.parameter(rng.random((2, 12, 14)))
             key = np.tanh(rng.normal(size=3))
             ts = read_traces(mem, ad.constant(key[None, :]), (5, 7))
-            ad.backward(ad.sum_(ts.traces))
+            ad.backward(ad.sum_(ts))
             allowed = contributing_cells((2, 12, 14), key, 5, 7)
             outside = [(yy, xx)
                        for yy in range(12) for xx in range(14)
@@ -225,7 +198,7 @@ class TestKeyGradients:
             attempts += 1
             key = np.tanh(rng.normal(size=3) * 0.7)
             # skip keys whose grid lands near integer pixels (bilinear kinks)
-            g = affine_grid(key, 6, 7).data
+            g = key_grid(key, 6, 7)
             px = (g[..., 0] + 1) / 2 * 16
             py = (g[..., 1] + 1) / 2 * 12
             frac = np.concatenate([(px % 1).ravel(), (py % 1).ravel()])
@@ -233,7 +206,7 @@ class TestKeyGradients:
                 continue
             kt = ad.parameter(key[None, :])
             ts = read_traces(ad.constant(mem), kt, (6, 7))
-            loss = ad.sum_(ad.mul(ad.slice_(ts.traces, 0), ad.constant(proj)))
+            loss = ad.sum_(ad.mul(ad.slice_(ts, 0), ad.constant(proj)))
             ad.backward(loss)
 
             def scalar(kv):
@@ -257,11 +230,11 @@ class TestKeyGradients:
         mem = rng.random((1, 8, 8))
         base = float(ad.sum_(read_traces(
             ad.constant(mem),
-            ad.constant(np.array([[1.0, 0.0, 0.0]])), (8, 8)).traces).data)
+            ad.constant(np.array([[1.0, 0.0, 0.0]])), (8, 8))).data)
         for delta in (1e-9, -1e-9):
             moved = float(ad.sum_(read_traces(
                 ad.constant(mem),
-                ad.constant(np.array([[1.0, delta, 0.0]])), (8, 8)).traces).data)
+                ad.constant(np.array([[1.0, delta, 0.0]])), (8, 8))).data)
             assert abs(moved - base) <= 1e-6
 
 
