@@ -9,6 +9,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -285,28 +286,16 @@ ABLATE_DEFAULTS = dict(
 
 
 def _ablate_cell(opt, train_set, test_set, axis, value, seed):
-    o = dict(T=opt.get("T"), K=opt.get("K"), no_memory=False)
-    if axis == "T":
-        o["T"] = int(value)
-    elif axis == "K":
-        o["K"] = int(value)
+    config = _train_config(opt, train_set)
+    if axis in ("T", "K"):
+        model_cfg = replace(config.model, **{axis: int(value)})
     elif axis == "memory":
         if value not in ("on", "off"):
             raise ValueError(f"--axis memory takes values on/off, got {value!r}")
-        o["no_memory"] = value == "off"
+        model_cfg = replace(config.model, ablation=value == "off")
     else:
         raise ValueError(f"unknown ablation axis {axis!r}")
-    model_cfg = ModelConfig(
-        image_shape=train_set.image_shape, T=o["T"], K=o["K"], L=opt.get("L"),
-        likelihood=opt.get("likelihood"), gaussian_std=opt.get("sigma"),
-        ablation=o["no_memory"],
-    )
-    config = TrainConfig(
-        model=model_cfg, epochs=opt.get("epochs"), batch_episodes=opt.get("batch"),
-        episodes_per_epoch=opt.get("episodes_per_epoch"), lr=opt.get("lr"),
-        schedule=opt.get("schedule"), warmup_epochs=opt.get("warmup"),
-        weight_decay=opt.get("weight_decay"), seed=seed,
-    )
+    config = replace(config, model=model_cfg, seed=seed)
     _, history = trainer_mod.train(config, train_set, test_set)
     final_test = [r for r in history if r.split == "test"][-1]
     return [axis, value, seed, f"{final_test.elbo:.10g}",
@@ -368,12 +357,6 @@ def cmd_eval(args, argv):
 def _add_common(p, defaults):
     for key, val in defaults.items():
         flag = "--" + key.replace("_", "-")
-        if key == "T":
-            flag = "--T"
-        if key == "K":
-            flag = "--K"
-        if key == "L":
-            flag = "--L"
         if isinstance(val, bool):
             p.add_argument(flag, action="store_const", const=True, default=None)
         else:

@@ -4,8 +4,10 @@ backward, in NumPy.
 The convolutions run as BLAS matrix products: the forward pass and the
 kernel gradient over an im2col matrix built from a ``sliding_window_view``
 of the padded input, the input gradient as one product per kernel tap
-added into its strided window.  The bilinear image gradient is a single
-``np.bincount`` scatter.  Conventions: float64, zero padding, and the
+added into its strided window.  The three bilinear kernels share one 2x2
+corner table (``_taps``): the forward pass and the grid gradient gather
+through it with one ``np.take``, the image gradient scatters through it
+with one ``np.bincount``.  Conventions: float64, zero padding, and the
 "corners map to +/-1" grid convention where a normalized coordinate c maps
 to pixel (c + 1) / 2 * (size - 1).
 """
@@ -74,47 +76,36 @@ def conv2d_kernel_grad(gy, x, stride, pad, kh, kw):
     return gw.reshape(co, ci, kh, kw)
 
 
-def _grid_to_pixels(grid, h, w):
-    px = (grid[..., 0] + 1.0) * 0.5 * (w - 1)
-    py = (grid[..., 1] + 1.0) * 0.5 * (h - 1)
-    return px, py
+def _taps(grid, b, h, w):
+    """The 2x2 corner table of a bilinear read of B canvases of H x W at
+    grid (B,G,h,w,2).
+
+    Returns flat indices (2, 2, B, G, h, w) into the B*H*W canvas, the y
+    tap first, then per-axis weights and on-canvas masks (2, B, G, h, w)
+    for y and for x.  An off-canvas corner is clipped onto the canvas and
+    has weight 0.  Updates run in place where they can: on the read shapes
+    much of a bilinear kernel's time is first-touch faults on fresh arrays.
+    """
+    def axis(p, size):
+        p0 = np.floor(p)
+        frac = p - p0
+        i = p0.astype(np.intp) + np.arange(2).reshape(2, 1, 1, 1, 1)
+        on = (i >= 0) & (i < size)
+        wt = np.stack([1 - frac, frac])
+        wt *= on
+        return np.clip(i, 0, size - 1, out=i), wt, on
+
+    iy, wy, on_y = axis((grid[..., 1] + 1.0) * 0.5 * (h - 1), h)
+    ix, wx, on_x = axis((grid[..., 0] + 1.0) * 0.5 * (w - 1), w)
+    iy += np.arange(b).reshape(b, 1, 1, 1) * h
+    iy *= w
+    return iy[:, None] + ix, (wy, wx), (on_y, on_x)
 
 
-def _corners(px, py, h, w):
-    x0 = np.floor(px)
-    y0 = np.floor(py)
-    fx = px - x0
-    fy = py - y0
-    x0 = x0.astype(np.intp)
-    y0 = y0.astype(np.intp)
-    x1 = x0 + 1
-    y1 = y0 + 1
-    vx0 = (x0 >= 0) & (x0 < w)
-    vx1 = (x1 >= 0) & (x1 < w)
-    vy0 = (y0 >= 0) & (y0 < h)
-    vy1 = (y1 >= 0) & (y1 < h)
-    cx0 = np.clip(x0, 0, w - 1)
-    cx1 = np.clip(x1, 0, w - 1)
-    cy0 = np.clip(y0, 0, h - 1)
-    cy1 = np.clip(y1, 0, h - 1)
-    return (cx0, cx1, cy0, cy1), (vx0, vx1, vy0, vy1), fx, fy
-
-
-def _corner_values(images, grid):
-    """Image values (B,G,h,w,C) at the four bilinear corners of every grid
-    point, in (y0x0, y0x1, y1x0, y1x1) order and zero where the corner is
-    off the canvas, with the fractional offsets fx, fy."""
-    b, _, h, w = images.shape
-    px, py = _grid_to_pixels(grid, h, w)
-    (cx0, cx1, cy0, cy1), (vx0, vx1, vy0, vy1), fx, fy = _corners(px, py, h, w)
-    bidx = np.arange(b).reshape(b, 1, 1, 1)
-
-    def gather(cy, cx, valid):
-        return images[bidx, :, cy, cx] * valid[..., None]
-
-    corners = (gather(cy0, cx0, vy0 & vx0), gather(cy0, cx1, vy0 & vx1),
-               gather(cy1, cx0, vy1 & vx0), gather(cy1, cx1, vy1 & vx1))
-    return corners, fx, fy
+def _canvas(images):
+    """Images (B,C,H,W) as one channel-first (C, B*H*W) matrix."""
+    b, c, h, w = images.shape
+    return images.transpose(1, 0, 2, 3).reshape(c, b * h * w)
 
 
 def bilinear_forward(images, grid):
@@ -122,51 +113,35 @@ def bilinear_forward(images, grid):
 
     Returns (B,G,C,h,w).  Coordinates outside [-1, 1] read zeros.
     """
-    (v00, v01, v10, v11), fx, fy = _corner_values(images, grid)
-    w00 = ((1 - fx) * (1 - fy))[..., None]
-    w01 = (fx * (1 - fy))[..., None]
-    w10 = ((1 - fx) * fy)[..., None]
-    w11 = (fx * fy)[..., None]
-    out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
-    return np.ascontiguousarray(np.moveaxis(out, -1, 2))
+    b, _, h, w = images.shape
+    idx, (wy, wx), _ = _taps(grid, b, h, w)
+    vals = np.take(_canvas(images), idx, axis=1)                 # (C,2,2,B,G,h,w)
+    out = (vals * (wy[:, None] * wx)).sum(axis=(1, 2))
+    return np.ascontiguousarray(out.transpose(1, 2, 0, 3, 4))
 
 
 def bilinear_image_grad(gy, grid, h, w):
     """Gradient of bilinear_forward w.r.t. the images; gy is (B,G,C,h,w)."""
-    b, g, c, gh, gw = gy.shape
-    px, py = _grid_to_pixels(grid, h, w)
-    (cx0, cx1, cy0, cy1), (vx0, vx1, vy0, vy1), fx, fy = _corners(px, py, h, w)
-    # One scatter-add over flat (b, c, y, x) indices, the four corners
-    # stacked in front.  Off-canvas corners were clipped onto the canvas
-    # and carry weight 0.
-    pixel = np.stack([cy0 * w + cx0, cy0 * w + cx1, cy1 * w + cx0, cy1 * w + cx1])
-    weight = np.stack([(1 - fx) * (1 - fy) * (vy0 & vx0), fx * (1 - fy) * (vy0 & vx1),
-                       (1 - fx) * fy * (vy1 & vx0), fx * fy * (vy1 & vx1)])
-    plane = (np.arange(b)[:, None] * c + np.arange(c)) * (h * w)          # (B,C)
-    idx = plane[None, :, None, :, None, None] + pixel[:, :, :, None]     # (4,B,G,C,h,w)
-    gimg = np.bincount(idx.ravel(), (gy * weight[:, :, :, None]).ravel(), minlength=b * c * h * w)
+    b, _, c = gy.shape[:3]
+    idx, (wy, wx), _ = _taps(grid, b, h, w)
+    # One scatter-add over flat (b, c, y, x) indices, the four corners in
+    # front; idx already holds b*H*W, the plane adds the rest of b and c.
+    plane = (np.arange(b)[:, None] * (c - 1) + np.arange(c)) * (h * w)   # (B,C)
+    bins = idx[:, :, :, :, None] + plane[:, None, :, None, None]         # (2,2,B,G,C,h,w)
+    weight = (wy[:, None] * wx)[:, :, :, :, None]
+    gimg = np.bincount(bins.ravel(), (gy * weight).ravel(), minlength=b * c * h * w)
     return gimg.reshape(b, c, h, w)
 
 
 def bilinear_grid_grad(gy, images, grid):
     """Gradient of bilinear_forward w.r.t. the normalized grid coordinates."""
-    h, w = images.shape[2:]
-    (v00, v01, v10, v11), fx, fy = _corner_values(images, grid)
-    gyc = np.moveaxis(gy, 2, -1)                 # (B,G,h,w,C)
-    # d out / d px and d out / d py, contracted with gy over channels
-    dpx = np.einsum(
-        "...c,...c->...",
-        gyc,
-        (v01 - v00) * (1 - fy)[..., None] + (v11 - v10) * fy[..., None],
-        optimize=True,
-    )
-    dpy = np.einsum(
-        "...c,...c->...",
-        gyc,
-        (v10 - v00) * (1 - fx)[..., None] + (v11 - v01) * fx[..., None],
-        optimize=True,
-    )
-    ggrid = np.empty_like(grid)
-    ggrid[..., 0] = dpx * 0.5 * (w - 1)
-    ggrid[..., 1] = dpy * 0.5 * (h - 1)
-    return ggrid
+    b, _, h, w = images.shape
+    idx, (wy, wx), (on_y, on_x) = _taps(grid, b, h, w)
+    vals = np.take(_canvas(images), idx, axis=1)
+    # gy against the value at each corner, then d weight / d pixel coordinate
+    # (the slope: -1 for the near tap, +1 for the far one, 0 off the canvas).
+    dot = np.einsum("bgcij,cyxbgij->yxbgij", gy, vals)
+    sign = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1, 1)
+    dpx = (dot * (wy[:, None] * (sign * on_x))).sum(axis=(0, 1))
+    dpy = (dot * ((sign * on_y)[:, None] * wx)).sum(axis=(0, 1))
+    return np.stack([dpx * 0.5 * (w - 1), dpy * 0.5 * (h - 1)], axis=-1)

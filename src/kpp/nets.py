@@ -46,17 +46,6 @@ class Episode:
 
 
 @dataclass
-class Memory:
-    """Deterministic episode-level memory block (C, H, W)."""
-
-    grid: Tensor
-
-    @property
-    def shape(self):
-        return self.grid.shape
-
-
-@dataclass
 class ModelConfig:
     image_shape: tuple = (1, 16, 16)
     T: int = 8
@@ -131,23 +120,9 @@ def tsm_shift(features: Tensor) -> Tensor:
     if fold == 0:
         return features
     zeros = ad.constant(np.zeros((1, fold) + features.shape[2:]))
-
-    def chans(lo, hi):
-        return ad.slice_(features, (slice(None), slice(lo, hi)))
-
-    fwd_src = chans(0, fold)
-    bwd_src = chans(fold, 2 * fold)
-    rest = chans(2 * fold, c)
-    if t == 1:
-        fwd = ad.mul(fwd_src, ad.constant(0.0))
-        bwd = ad.mul(bwd_src, ad.constant(0.0))
-    else:
-        fwd = ad.concat([zeros, ad.slice_(fwd_src, slice(0, t - 1))], axis=0)
-        bwd = ad.concat([ad.slice_(bwd_src, slice(1, t)), zeros], axis=0)
-    parts = [fwd, bwd]
-    if 2 * fold < c:
-        parts.append(rest)
-    return ad.concat(parts, axis=1)
+    fwd = ad.concat([zeros, features[:t - 1, :fold]], axis=0)
+    bwd = ad.concat([features[1:, fold:2 * fold], zeros], axis=0)
+    return ad.concat([fwd, bwd, features[:, 2 * fold:]], axis=1)
 
 
 def _conv_out(side, n_layers):
@@ -336,11 +311,9 @@ class MemoryVAE:
         flat = ad.reshape(h, (t, int(np.prod(h.shape[1:]))))
         return self._dense(flat, "enc.fc")
 
-    def tsm_shift(self, features):
-        return tsm_shift(features)
-
-    def write_memory(self, embeddings: Tensor) -> Memory:
-        """Mean-pool the episode embedding and expand it into the memory block."""
+    def write_memory(self, embeddings: Tensor) -> Tensor:
+        """Mean-pool the episode embedding and expand it into the (C, H, W)
+        memory block."""
         if self.config.ablation:
             raise RuntimeError("ablation model has no memory writer")
         t = embeddings.shape[0]
@@ -348,15 +321,14 @@ class MemoryVAE:
         mc, mh, mw = self.config.memory_shape
         if self.config.dense_nets:
             h = ad.relu(self._dense(pooled, "mem.fc0"))
-            grid = ad.reshape(self._dense(h, "mem.out"), (mc, mh, mw))
-            return Memory(grid=grid)
+            return ad.reshape(self._dense(h, "mem.out"), (mc, mh, mw))
         base = self.config.mem_base_channels
         h = ad.relu(self._dense(pooled, "mem.fc"))
         h = ad.reshape(h, (1, base, mh // 8, mw // 8))
         h = ad.relu(self._convT(h, "mem.up0"))
         h = ad.relu(self._convT(h, "mem.up1"))
         h = self._convT(h, "mem.up2")
-        return Memory(grid=ad.reshape(h, (mc, mh, mw)))
+        return ad.reshape(h, (mc, mh, mw))
 
     def key_posterior(self, embeddings: Tensor) -> DiagGaussian:
         h = ad.relu(self._dense(embeddings, "key.fc"))

@@ -26,7 +26,7 @@ from .distributions import (
     kl_to_standard_normal,
     reparam_sample,
 )
-from .nets import Episode, Memory, MemoryVAE
+from .nets import Episode, MemoryVAE
 from . import data as data_mod
 
 
@@ -82,7 +82,7 @@ def _recon_term(model, logits, target):
     return gaussian_log_prob(DiagGaussian(mean=flat_out, log_std=log_std), flat_x)
 
 
-def read_memory(model, memory: Memory, squashed_keys):
+def read_memory(model, memory: Tensor, squashed_keys):
     """Crop K traces per sample from one memory: keys (T,K,3) -> (T,K,C,h,w).
 
     All T*K windows are read from the single memory in one sampling call, so
@@ -90,7 +90,7 @@ def read_memory(model, memory: Memory, squashed_keys):
     """
     t, k = squashed_keys.shape[:2]
     traces = stn.sample_traces(
-        ad.reshape(memory.grid, (1,) + memory.shape),
+        ad.reshape(memory, (1,) + memory.shape),
         ad.reshape(squashed_keys, (1, t * k, 3)),
         model.config.trace_size,
     )
@@ -176,7 +176,7 @@ def _decode_output(model, z):
     return logits
 
 
-def generate(memory: Memory, n: int, model: MemoryVAE, rng_seed) -> np.ndarray:
+def generate(memory: Tensor, n: int, model: MemoryVAE, rng_seed) -> np.ndarray:
     """Sample n images from the memory: prior keys, trace prior mean, decode."""
     rng = _rng(rng_seed)
     raw_keys = rng.standard_normal((n, model.config.K, 3))
@@ -191,7 +191,7 @@ def _generate_from_raw_keys(memory, raw_keys, model):
     return out.data.copy()
 
 
-def perturbed_generate(memory: Memory, base_keys, eps_std: float, n: int,
+def perturbed_generate(memory: Tensor, base_keys, eps_std: float, n: int,
                        model: MemoryVAE, rng_seed) -> np.ndarray:
     """Generations from base_keys plus Gaussian key perturbations."""
     if eps_std <= 0:
@@ -204,7 +204,7 @@ def perturbed_generate(memory: Memory, base_keys, eps_std: float, n: int,
     return _generate_from_raw_keys(memory, raw, model)
 
 
-def iterative_read(memory: Memory, x_init, steps: int, model: MemoryVAE,
+def iterative_read(memory: Tensor, x_init, steps: int, model: MemoryVAE,
                    rng_seed) -> list:
     """Repeatedly re-infer keys and decode, holding the memory fixed."""
     if steps < 1:
@@ -230,7 +230,7 @@ def iterative_read(memory: Memory, x_init, steps: int, model: MemoryVAE,
     return trajectory
 
 
-def denoise(memory: Memory, x_clean, noise_kind: str, steps: int,
+def denoise(memory: Tensor, x_clean, noise_kind: str, steps: int,
             model: MemoryVAE, rng_seed, rate=0.1, std=0.3, scale=30.0):
     """Corrupt x_clean, then run iterative reads; track L2 error per step.
 

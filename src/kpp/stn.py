@@ -15,12 +15,11 @@ from .autodiff import Tensor
 
 
 def _target_coords(out_h, out_w):
-    """Normalized target coordinates, corners at +-1."""
+    """Normalized target coordinates (h, w, 2) in (x, y) order, corners at +-1."""
     tx = np.linspace(-1.0, 1.0, out_w) if out_w > 1 else np.zeros(1)
     ty = np.linspace(-1.0, 1.0, out_h) if out_h > 1 else np.zeros(1)
-    gx = np.broadcast_to(tx[None, :], (out_h, out_w))
-    gy = np.broadcast_to(ty[:, None], (out_h, out_w))
-    return gx.copy(), gy.copy()
+    gy, gx = np.meshgrid(ty, tx, indexing="ij")
+    return np.stack([gx, gy], axis=-1)
 
 
 def grid_from_keys(keys: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -31,20 +30,10 @@ def grid_from_keys(keys: Tensor, out_h: int, out_w: int) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ValueError(f"grid size must be >= 1, got ({out_h}, {out_w})")
     b, k = keys.shape[0], keys.shape[1]
-    gx, gy = _target_coords(out_h, out_w)
-    tgt_x = ad.constant(gx)
-    tgt_y = ad.constant(gy)
-
-    def comp(i):
-        c = ad.slice_(keys, (slice(None), slice(None), slice(i, i + 1)))
-        return ad.reshape(c, (b, k, 1, 1))
-
-    s, xs, ys = comp(0), comp(1), comp(2)
-    src_x = ad.add(ad.mul(s, tgt_x), xs)
-    src_y = ad.add(ad.mul(s, tgt_y), ys)
-    src_x = ad.reshape(src_x, (b, k, out_h, out_w, 1))
-    src_y = ad.reshape(src_y, (b, k, out_h, out_w, 1))
-    return ad.concat([src_x, src_y], axis=4)
+    scale = ad.reshape(keys[..., 0:1], (b, k, 1, 1, 1))
+    shift = ad.reshape(keys[..., 1:3], (b, k, 1, 1, 2))
+    target = ad.constant(_target_coords(out_h, out_w))
+    return ad.add(ad.mul(scale, target), shift)
 
 
 def sample_traces(memory: Tensor, keys: Tensor, out_size) -> Tensor:

@@ -1,6 +1,7 @@
-"""Test-only reference kernels: the per-tap einsum convolutions and the
-``np.add.at`` bilinear scatter that ``kpp.kernels`` used before it moved
-to im2col products and ``np.bincount``.
+"""Test-only reference kernels: the per-tap einsum convolutions, the
+``np.add.at`` bilinear scatter, and the per-corner fancy-index bilinear
+forward and grid gradient that ``kpp.kernels`` used before it moved to
+im2col products, ``np.bincount`` and one shared corner table.
 
 Slow but direct: each kernel tap and each bilinear corner is one visible
 step, so these serve as the oracle for the production kernels.
@@ -70,3 +71,84 @@ def bilinear_image_grad(gy, grid, h, w):
         at = (bidx, cidx, np.clip(cy, 0, h - 1)[:, :, None], np.clip(cx, 0, w - 1)[:, :, None])
         np.add.at(gimg, at, contrib)
     return gimg
+
+
+def _grid_to_pixels(grid, h, w):
+    px = (grid[..., 0] + 1.0) * 0.5 * (w - 1)
+    py = (grid[..., 1] + 1.0) * 0.5 * (h - 1)
+    return px, py
+
+
+def _corners(px, py, h, w):
+    x0 = np.floor(px)
+    y0 = np.floor(py)
+    fx = px - x0
+    fy = py - y0
+    x0 = x0.astype(np.intp)
+    y0 = y0.astype(np.intp)
+    x1 = x0 + 1
+    y1 = y0 + 1
+    vx0 = (x0 >= 0) & (x0 < w)
+    vx1 = (x1 >= 0) & (x1 < w)
+    vy0 = (y0 >= 0) & (y0 < h)
+    vy1 = (y1 >= 0) & (y1 < h)
+    cx0 = np.clip(x0, 0, w - 1)
+    cx1 = np.clip(x1, 0, w - 1)
+    cy0 = np.clip(y0, 0, h - 1)
+    cy1 = np.clip(y1, 0, h - 1)
+    return (cx0, cx1, cy0, cy1), (vx0, vx1, vy0, vy1), fx, fy
+
+
+def _corner_values(images, grid):
+    """Image values (B,G,h,w,C) at the four bilinear corners of every grid
+    point, in (y0x0, y0x1, y1x0, y1x1) order and zero where the corner is
+    off the canvas, with the fractional offsets fx, fy."""
+    b, _, h, w = images.shape
+    px, py = _grid_to_pixels(grid, h, w)
+    (cx0, cx1, cy0, cy1), (vx0, vx1, vy0, vy1), fx, fy = _corners(px, py, h, w)
+    bidx = np.arange(b).reshape(b, 1, 1, 1)
+
+    def gather(cy, cx, valid):
+        return images[bidx, :, cy, cx] * valid[..., None]
+
+    corners = (gather(cy0, cx0, vy0 & vx0), gather(cy0, cx1, vy0 & vx1),
+               gather(cy1, cx0, vy1 & vx0), gather(cy1, cx1, vy1 & vx1))
+    return corners, fx, fy
+
+
+def bilinear_forward(images, grid):
+    """Sample images (B,C,H,W) at grid (B,G,h,w,2) of normalized (x,y) coords.
+
+    Returns (B,G,C,h,w).  Coordinates outside [-1, 1] read zeros.
+    """
+    (v00, v01, v10, v11), fx, fy = _corner_values(images, grid)
+    w00 = ((1 - fx) * (1 - fy))[..., None]
+    w01 = (fx * (1 - fy))[..., None]
+    w10 = ((1 - fx) * fy)[..., None]
+    w11 = (fx * fy)[..., None]
+    out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
+    return np.ascontiguousarray(np.moveaxis(out, -1, 2))
+
+
+def bilinear_grid_grad(gy, images, grid):
+    """Gradient of bilinear_forward w.r.t. the normalized grid coordinates."""
+    h, w = images.shape[2:]
+    (v00, v01, v10, v11), fx, fy = _corner_values(images, grid)
+    gyc = np.moveaxis(gy, 2, -1)                 # (B,G,h,w,C)
+    # d out / d px and d out / d py, contracted with gy over channels
+    dpx = np.einsum(
+        "...c,...c->...",
+        gyc,
+        (v01 - v00) * (1 - fy)[..., None] + (v11 - v10) * fy[..., None],
+        optimize=True,
+    )
+    dpy = np.einsum(
+        "...c,...c->...",
+        gyc,
+        (v10 - v00) * (1 - fx)[..., None] + (v11 - v01) * fx[..., None],
+        optimize=True,
+    )
+    ggrid = np.empty_like(grid)
+    ggrid[..., 0] = dpx * 0.5 * (w - 1)
+    ggrid[..., 1] = dpy * 0.5 * (h - 1)
+    return ggrid

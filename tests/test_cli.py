@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import kpp
+from kpp import trainer as trainer_mod
 from kpp.cli import _read_config_file, main
-from kpp.trainer import METRICS_HEADER
+from kpp.trainer import METRICS_HEADER, MetricsRow
 
 FAST = ["--T", "2", "--K", "1", "--L", "8", "--epochs", "1",
         "--episodes-per-epoch", "2", "--batch", "1", "--warmup", "1"]
@@ -188,6 +189,24 @@ class TestAblate:
             ("memory", "on", "1"), ("memory", "off", "1")]
         for r in rows[1:]:
             assert np.isfinite(float(r[3])) and np.isfinite(float(r[4]))
+
+    def test_no_memory_flag_reaches_every_cell(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_train(config, train_set, test_set):
+            seen.append(config)
+            row = MetricsRow(epoch=1, split="test", elbo=-1.0, recon_ll=-1.0,
+                             kl_z=0.0, kl_y=0.0, wall_seconds=0.0, seed=config.seed)
+            return None, [row]
+
+        monkeypatch.setattr(trainer_mod, "train", fake_train)
+        rc = run(["ablate", "--data", "synth", "--axis", "K", "--values", "1",
+                  "--seeds", "1", "--epochs", "1", "--no-memory",
+                  "--out", str(tmp_path / "a")])
+        assert rc == 0
+        assert len(seen) == 1
+        assert seen[0].model.ablation is True
+        assert seen[0].model.K == 1
 
     def test_bad_axis_value(self, tmp_path):
         rc = run(["ablate", "--data", "synth", "--axis", "memory",

@@ -12,12 +12,39 @@ STRIDE_PAD = [(1, 0), (1, 1), (2, 1), (3, 2)]
 KERNEL_SIZES = [3, 4]
 
 
+# (B,G,C,h,w,H,W) shapes with grids in +-1.3, then two edge cases
+BILINEAR_CASES = [(2, 4, 3, 5, 6, 7, 9), (3, 2, 1, 16, 16, 8, 8), "off_canvas", "on_pixels"]
+BILINEAR_IDS = ["shape0", "shape1", "off_canvas", "on_pixels"]
+
+
 def _out_size(size, k, stride, pad):
     return (size + 2 * pad - k) // stride + 1
 
 
+def _bilinear_case(rng, case):
+    """(images, grid, gy) for one of BILINEAR_CASES."""
+    if case == "off_canvas":
+        # mostly off a 5x5 canvas; the first window wholly outside
+        grid = rng.uniform(-2.5, 2.5, size=(1, 2, 4, 4, 2))
+        grid[:, 0] = 1.6
+        c, h, w = 2, 5, 5
+    elif case == "on_pixels":
+        # every pixel of a 9x5 canvas, exactly: fx or fy is 0 there, and on
+        # the right and bottom edges the x1 / y1 corner is off the canvas
+        c, h, w = 2, 9, 5
+        py, px = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        grid = np.stack([px / 2.0 - 1, py / 4.0 - 1], axis=-1)[None, None]
+        grid = np.repeat(grid, 2, axis=0)
+    else:
+        b, g, c, gh, gw, h, w = case
+        grid = rng.uniform(-1.3, 1.3, size=(b, g, gh, gw, 2))
+    b, g, gh, gw = grid.shape[:4]
+    return rng.normal(size=(b, c, h, w)), grid, rng.normal(size=(b, g, c, gh, gw))
+
+
 class TestOracle:
-    """The NumPy kernels match the per-tap / np.add.at reference kernels."""
+    """The NumPy kernels match the per-tap / np.add.at / per-corner
+    reference kernels."""
 
     @pytest.mark.parametrize("k", KERNEL_SIZES)
     @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
@@ -64,15 +91,30 @@ class TestOracle:
         assert np.max(np.abs(kernels.conv2d_kernel_grad(x, gy, 2, 1, 4, 4)
                              - ref.conv2d_kernel_grad(x, gy, 2, 1, 4, 4))) <= 1e-12
 
-    @pytest.mark.parametrize("shape", [(2, 4, 3, 5, 6, 7, 9), (3, 2, 1, 16, 16, 8, 8)])
-    def test_bilinear_image_grad(self, rng, shape):
-        b, g, c, gh, gw, h, w = shape
-        grid = rng.uniform(-1.3, 1.3, size=(b, g, gh, gw, 2))
-        gy = rng.normal(size=(b, g, c, gh, gw))
+    @pytest.mark.parametrize("case", BILINEAR_CASES, ids=BILINEAR_IDS)
+    def test_bilinear_forward(self, rng, case):
+        images, grid, gy = _bilinear_case(rng, case)
+        got = kernels.bilinear_forward(images, grid)
+        expect = ref.bilinear_forward(images, grid)
+        assert got.shape == gy.shape
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("case", BILINEAR_CASES, ids=BILINEAR_IDS)
+    def test_bilinear_image_grad(self, rng, case):
+        images, grid, gy = _bilinear_case(rng, case)
+        h, w = images.shape[2:]
         got = kernels.bilinear_image_grad(gy, grid, h, w)
         expect = ref.bilinear_image_grad(gy, grid, h, w)
-        assert got.shape == (b, c, h, w)
+        assert got.shape == images.shape
         assert np.max(np.abs(got - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("case", BILINEAR_CASES, ids=BILINEAR_IDS)
+    def test_bilinear_grid_grad(self, rng, case):
+        images, grid, gy = _bilinear_case(rng, case)
+        got = kernels.bilinear_grid_grad(gy, images, grid)
+        expect = ref.bilinear_grid_grad(gy, images, grid)
+        assert got.shape == grid.shape
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_bilinear_image_grad_off_canvas(self, rng):
         """Corners that fall off the canvas add nothing; a read wholly

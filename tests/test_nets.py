@@ -7,7 +7,6 @@ from kpp import autodiff as ad
 from kpp.nets import (
     CHECKPOINT_MAGIC,
     Episode,
-    Memory,
     MemoryVAE,
     ModelConfig,
     load_checkpoint,
@@ -120,24 +119,19 @@ class TestTsmShift:
         assert abs(out.sum() - (x.sum() - dropped)) <= 1e-10
 
     def test_gradient_zero_at_dropped_slots(self, rng):
-        x = ad.parameter(rng.normal(size=(3, 8, 2, 2)))
-        ad.backward(ad.sum_(tsm_shift(x)))
-        g = x.grad
-        assert np.all(g[2, 0] == 0.0)   # last fwd-group slot is dropped
-        assert np.all(g[0, 1] == 0.0)   # first bwd-group slot is dropped
-        assert np.all(g[0, 0] == 1.0) and np.all(g[1, 0] == 1.0)
-        assert np.all(g[1, 1] == 1.0) and np.all(g[2, 1] == 1.0)
-        assert np.all(g[:, 2:] == 1.0)
+        for t in (3, 1):   # T=1: denoise encodes single images
+            x = ad.parameter(rng.normal(size=(t, 8, 2, 2)))
+            ad.backward(ad.sum_(tsm_shift(x)))
+            g = x.grad
+            assert np.all(g[t - 1, 0] == 0.0)   # last fwd-group slot is dropped
+            assert np.all(g[0, 1] == 0.0)       # first bwd-group slot is dropped
+            assert np.all(g[:t - 1, 0] == 1.0)
+            assert np.all(g[1:, 1] == 1.0)
+            assert np.all(g[:, 2:] == 1.0)
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             tsm_shift(ad.constant(np.zeros((2, 8, 4))))
-
-    def test_method_alias(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(), seed=0)
-        x = rng.normal(size=(2, 8, 2, 2))
-        assert np.array_equal(model.tsm_shift(ad.constant(x)).data,
-                              tsm_shift(ad.constant(x)).data)
 
 
 class TestEncode:
@@ -179,16 +173,16 @@ class TestWriteMemory:
     def test_permutation_invariance(self, rng):
         model = MemoryVAE(tiny_conv_cfg(), seed=4)
         emb = rng.normal(size=(5, 8))
-        m0 = model.write_memory(ad.constant(emb)).grid.data
-        m1 = model.write_memory(ad.constant(emb[::-1].copy())).grid.data
+        m0 = model.write_memory(ad.constant(emb)).data
+        m1 = model.write_memory(ad.constant(emb[::-1].copy())).data
         assert np.max(np.abs(m0 - m1)) <= 1e-12
         assert m0.shape == model.config.memory_shape
 
     def test_duplicate_rows_match_single(self, rng):
         model = MemoryVAE(tiny_conv_cfg(), seed=4)
         row = rng.normal(size=(1, 8))
-        single = model.write_memory(ad.constant(row)).grid.data
-        double = model.write_memory(ad.constant(np.vstack([row, row]))).grid.data
+        single = model.write_memory(ad.constant(row)).data
+        double = model.write_memory(ad.constant(np.vstack([row, row]))).data
         assert np.array_equal(single, double)
 
     def test_distinct_episodes_distinct_memories(self, rng):
@@ -196,18 +190,14 @@ class TestWriteMemory:
         seen = set()
         for _ in range(100):
             emb = rng.normal(size=(2, 8))
-            grid = model.write_memory(ad.constant(emb)).grid.data
-            seen.add(grid.tobytes())
+            memory = model.write_memory(ad.constant(emb)).data
+            seen.add(memory.tobytes())
         assert len(seen) == 100
 
     def test_ablation_model_has_no_writer(self):
         model = MemoryVAE(tiny_conv_cfg(ablation=True), seed=0)
         with pytest.raises(RuntimeError):
             model.write_memory(ad.constant(np.zeros((2, 8))))
-
-    def test_memory_shape_property(self, rng):
-        m = Memory(grid=ad.constant(rng.random((3, 4, 4))))
-        assert m.shape == (3, 4, 4)
 
 
 class TestGaussianHeads:

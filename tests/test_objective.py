@@ -11,7 +11,7 @@ import pytest
 from kpp import autodiff as ad
 from kpp.autodiff import NonFiniteError
 from kpp.data import synth_shapes
-from kpp.nets import Episode, Memory, MemoryVAE, ModelConfig
+from kpp.nets import Episode, MemoryVAE, ModelConfig
 from kpp.objective import (
     ElboBreakdown,
     denoise,
@@ -222,7 +222,7 @@ class TestHandModelOracle:
         assert traces.shape == (3, 2, 1, 2, 2)
         for t in range(3):
             for k in range(2):
-                ref = reference_crop(memory.grid.data, keys[t, k], 2, 2)
+                ref = reference_crop(memory.data, keys[t, k], 2, 2)
                 assert np.max(np.abs(traces.data[t, k] - ref)) <= 1e-12
 
 
@@ -329,8 +329,7 @@ def make_trained_ish(rng, **kw):
     randomize(model, rng, scale=0.3)
     data = synth_shapes(16, 8, 8, seed=0)
     emb = model.encode(ad.constant(data.images[:4]))
-    memory = model.write_memory(emb)
-    memory = Memory(grid=ad.constant(memory.grid.data.copy()))
+    memory = ad.constant(model.write_memory(emb).data.copy())
     return model, memory, data
 
 
@@ -348,8 +347,8 @@ class TestGenerate:
     def test_different_memories_separate_generations(self, rng):
         model, memory_a, data = make_trained_ish(rng)
         emb_b = model.encode(ad.constant(data.images[8:12]))
-        memory_b = Memory(grid=ad.constant(model.write_memory(emb_b).grid.data.copy()))
-        assert not np.array_equal(memory_a.grid.data, memory_b.grid.data)
+        memory_b = ad.constant(model.write_memory(emb_b).data.copy())
+        assert not np.array_equal(memory_a.data, memory_b.data)
         for seed in range(10):
             gen_a = generate(memory_a, 4, model, rng_seed=seed)
             gen_b = generate(memory_b, 4, model, rng_seed=seed)  # same keys
