@@ -3,11 +3,13 @@ backward, in NumPy.
 
 The convolutions run as BLAS matrix products: the forward pass and the
 kernel gradient over an im2col matrix built from a ``sliding_window_view``
-of the padded input, the input gradient as one product per kernel tap
-added into its strided window.  The three bilinear kernels share one 2x2
-corner table (``_taps``): the forward pass and the grid gradient gather
-through it with one ``np.take``, the image gradient scatters through it
-with one ``np.bincount``.  Conventions: float64, zero padding, and the
+of the padded input (one matrix per image for the forward pass, one for
+the whole batch for the kernel gradient), the input gradient as one
+product per kernel tap added into its strided window.  The three bilinear
+kernels share one 2x2 corner table (``_taps``): the forward pass gathers
+and weights one corner at a time, the grid gradient gathers all four with
+one ``np.take``, and the image gradient scatters through it with one
+``np.bincount`` per channel.  Conventions: float64, zero padding, and the
 "corners map to +/-1" grid convention where a normalized coordinate c maps
 to pixel (c + 1) / 2 * (size - 1).
 """
@@ -25,13 +27,11 @@ def _padded(x, pad):
     return xp
 
 
-def _im2col(x, pad, kh, kw, stride, ho, wo):
-    """Windows of a strided correlation over zero-padded x, as one matrix
-    per image: (N, Ci*kh*kw, ho*wo), rows in (c, u, v) order."""
-    n, c = x.shape[:2]
+def _windows(x, pad, kh, kw, stride, ho, wo):
+    """The windows of a strided correlation over zero-padded x, as a view
+    (N, Ci, ho, wo, kh, kw)."""
     win = sliding_window_view(_padded(x, pad), (kh, kw), axis=(2, 3))
-    win = win[:, :, :(ho - 1) * stride + 1:stride, :(wo - 1) * stride + 1:stride]
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, ho * wo)
+    return win[:, :, :(ho - 1) * stride + 1:stride, :(wo - 1) * stride + 1:stride]
 
 
 def conv2d_forward(x, w, stride, pad):
@@ -44,7 +44,9 @@ def conv2d_forward(x, w, stride, pad):
     wo = (wid + 2 * pad - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d output would be empty for input {x.shape} kernel {w.shape}")
-    cols = _im2col(x, pad, kh, kw, stride, ho, wo)
+    # one im2col matrix per image, (N, Ci*kh*kw, ho*wo), rows in (c, u, v) order
+    win = _windows(x, pad, kh, kw, stride, ho, wo)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, ci * kh * kw, ho * wo)
     return np.matmul(w.reshape(co, ci * kh * kw), cols).reshape(n, co, ho, wo)
 
 
@@ -71,9 +73,12 @@ def conv2d_kernel_grad(gy, x, stride, pad, kh, kw):
     """Gradient of conv2d_forward w.r.t. the kernel (Co,Ci,kh,kw)."""
     n, co, ho, wo = gy.shape
     ci = x.shape[1]
-    cols = _im2col(x, pad, kh, kw, stride, ho, wo)
-    gw = np.matmul(gy.reshape(n, co, ho * wo), cols.transpose(0, 2, 1)).sum(axis=0)
-    return gw.reshape(co, ci, kh, kw)
+    # One product over every image: the im2col matrix is built directly as
+    # (Ci*kh*kw, N*ho*wo), with no per-image stack of partial kernels to sum.
+    win = _windows(x, pad, kh, kw, stride, ho, wo)
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(ci * kh * kw, n * ho * wo)
+    g = gy.transpose(1, 0, 2, 3).reshape(co, n * ho * wo)
+    return np.matmul(g, cols.T).reshape(co, ci, kh, kw)
 
 
 def _taps(grid, b, h, w):
@@ -115,8 +120,13 @@ def bilinear_forward(images, grid):
     """
     b, _, h, w = images.shape
     idx, (wy, wx), _ = _taps(grid, b, h, w)
-    vals = np.take(_canvas(images), idx, axis=1)                 # (C,2,2,B,G,h,w)
-    out = (vals * (wy[:, None] * wx)).sum(axis=(1, 2))
+    canvas = _canvas(images)
+    # One corner at a time, so no temporary holds all four corners.
+    out = None
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        term = np.take(canvas, idx[i, j], axis=1)                # (C,B,G,h,w)
+        term *= wy[i] * wx[j]
+        out = term if out is None else np.add(out, term, out=out)
     return np.ascontiguousarray(out.transpose(1, 2, 0, 3, 4))
 
 
@@ -124,13 +134,15 @@ def bilinear_image_grad(gy, grid, h, w):
     """Gradient of bilinear_forward w.r.t. the images; gy is (B,G,C,h,w)."""
     b, _, c = gy.shape[:3]
     idx, (wy, wx), _ = _taps(grid, b, h, w)
-    # One scatter-add over flat (b, c, y, x) indices, the four corners in
-    # front; idx already holds b*H*W, the plane adds the rest of b and c.
-    plane = (np.arange(b)[:, None] * (c - 1) + np.arange(c)) * (h * w)   # (B,C)
-    bins = idx[:, :, :, :, None] + plane[:, None, :, None, None]         # (2,2,B,G,C,h,w)
-    weight = (wy[:, None] * wx)[:, :, :, :, None]
-    gimg = np.bincount(bins.ravel(), (gy * weight).ravel(), minlength=b * c * h * w)
-    return gimg.reshape(b, c, h, w)
+    # One scatter-add per channel over the flat (b, y, x) indices, the four
+    # corners in front, so each bin sums in the same order for every channel.
+    bins = idx.ravel()
+    weight = wy[:, None] * wx                                    # (2,2,B,G,h,w)
+    gimg = np.empty((b, c, h, w))
+    for ch in range(c):
+        gimg[:, ch] = np.bincount(bins, (weight * gy[:, :, ch]).ravel(),
+                                  minlength=b * h * w).reshape(b, h, w)
+    return gimg
 
 
 def bilinear_grid_grad(gy, images, grid):

@@ -105,24 +105,43 @@ class ModelConfig:
         return cls(**d)
 
 
-def tsm_shift(features: Tensor) -> Tensor:
-    """Temporal shift along the episode axis of (T, C, h, w) features.
+def tsm_shift(features: Tensor, t=None) -> Tensor:
+    """Temporal shift within each episode of (B*T, C, h, w) features.
 
+    Rows are B episodes of t samples each (one episode when t is None).
     The first floor(C/8) channels move one step toward later samples, the
     next floor(C/8) one step toward earlier samples, with zeros filling
-    the vacated boundary slots; remaining channels pass through.
+    the vacated slots at each episode's ends; remaining channels pass
+    through.  Nothing crosses an episode boundary.
     """
     features = ad.tensor(features) if not isinstance(features, Tensor) else features
     if len(features.shape) != 4:
-        raise ValueError(f"tsm_shift expects (T,C,h,w), got {features.shape}")
-    t, c = features.shape[0], features.shape[1]
+        raise ValueError(f"tsm_shift expects (B*T,C,h,w), got {features.shape}")
+    n, c = features.shape[0], features.shape[1]
+    t = _episode_length(n, t)
     fold = c // TSM_FOLD_DIV
     if fold == 0:
         return features
-    zeros = ad.constant(np.zeros((1, fold) + features.shape[2:]))
-    fwd = ad.concat([zeros, features[:t - 1, :fold]], axis=0)
-    bwd = ad.concat([features[1:, fold:2 * fold], zeros], axis=0)
-    return ad.concat([fwd, bwd, features[:, 2 * fold:]], axis=1)
+    # Row 0 of the padded stack is zeros and row r + 1 holds features[r]; one
+    # gather picks each (row, channel)'s source row.  Only row 0 is picked
+    # more than once, and it is a constant, so the gather's backward (which
+    # does not add up repeated picks) is exact for the features.
+    step = np.arange(n) % t
+    rows = np.arange(1, n + 1)
+    src = np.repeat(rows[:, None], c, axis=1)
+    src[:, :fold] = np.where(step > 0, rows - 1, 0)[:, None]
+    src[:, fold:2 * fold] = np.where(step < t - 1, rows + 1, 0)[:, None]
+    zeros = ad.constant(np.zeros((1,) + features.shape[1:]))
+    return ad.concat([zeros, features], axis=0)[src, np.arange(c)]
+
+
+def _episode_length(n, t):
+    """The episode length of n rows: all of them when t is None."""
+    if t is None:
+        return n
+    if t < 1 or n % t:
+        raise ValueError(f"{n} rows do not split into episodes of length {t}")
+    return t
 
 
 def _conv_out(side, n_layers):
@@ -288,47 +307,54 @@ class MemoryVAE:
 
     # -- networks ----------------------------------------------------------
 
-    def encode(self, images) -> Tensor:
-        """Per-sample embeddings (T, embed_dim) of an episode's images."""
+    def encode(self, images, t=None) -> Tensor:
+        """Per-sample embeddings (B*T, embed_dim) of B episodes of t images
+        stacked (B*T, C, H, W); all rows form one episode when t is None."""
         x = ad.tensor(images) if not isinstance(images, Tensor) else images
         if x.shape[1:] != self.config.image_shape:
             raise ValueError(
                 f"episode images {x.shape[1:]} do not match configured "
                 f"image shape {self.config.image_shape}"
             )
-        t = x.shape[0]
+        n = x.shape[0]
         if self.config.dense_nets:
-            flat = ad.reshape(x, (t, int(np.prod(self.config.image_shape))))
+            flat = ad.reshape(x, (n, int(np.prod(self.config.image_shape))))
             h = ad.relu(self._dense(flat, "enc.fc0"))
             return self._dense(h, "enc.out")
         h = ad.relu(self._conv(x, "enc.conv0"))
         if self.config.tsm:
-            h = tsm_shift(h)
+            h = tsm_shift(h, t)
         h = ad.relu(self._conv(h, "enc.conv1"))
         if self.config.tsm:
-            h = tsm_shift(h)
+            h = tsm_shift(h, t)
         h = ad.relu(self._conv(h, "enc.conv2"))
-        flat = ad.reshape(h, (t, int(np.prod(h.shape[1:]))))
+        flat = ad.reshape(h, (n, int(np.prod(h.shape[1:]))))
         return self._dense(flat, "enc.fc")
 
-    def write_memory(self, embeddings: Tensor) -> Tensor:
-        """Mean-pool the episode embedding and expand it into the (C, H, W)
-        memory block."""
+    @staticmethod
+    def _pool(embeddings, t):
+        """Mean embedding (B, embed_dim) of each episode of t rows."""
+        n, d = embeddings.shape
+        t = _episode_length(n, t)
+        return ad.mean_(ad.reshape(embeddings, (n // t, t, d)), axis=1)
+
+    def write_memory(self, embeddings: Tensor, t=None) -> Tensor:
+        """Mean-pool each episode's embeddings (episodes of t rows, one
+        episode when t is None) and expand them into B memories (B, C, H, W)."""
         if self.config.ablation:
             raise RuntimeError("ablation model has no memory writer")
-        t = embeddings.shape[0]
-        pooled = ad.mean_(embeddings, axis=0, keepdims=True)  # (1, embed)
+        pooled = self._pool(embeddings, t)                    # (B, embed)
+        b = pooled.shape[0]
         mc, mh, mw = self.config.memory_shape
         if self.config.dense_nets:
             h = ad.relu(self._dense(pooled, "mem.fc0"))
-            return ad.reshape(self._dense(h, "mem.out"), (mc, mh, mw))
+            return ad.reshape(self._dense(h, "mem.out"), (b, mc, mh, mw))
         base = self.config.mem_base_channels
         h = ad.relu(self._dense(pooled, "mem.fc"))
-        h = ad.reshape(h, (1, base, mh // 8, mw // 8))
+        h = ad.reshape(h, (b, base, mh // 8, mw // 8))
         h = ad.relu(self._convT(h, "mem.up0"))
         h = ad.relu(self._convT(h, "mem.up1"))
-        h = self._convT(h, "mem.up2")
-        return ad.reshape(h, (mc, mh, mw))
+        return self._convT(h, "mem.up2")
 
     def key_posterior(self, embeddings: Tensor) -> DiagGaussian:
         h = ad.relu(self._dense(embeddings, "key.fc"))
@@ -382,15 +408,20 @@ class MemoryVAE:
         h = ad.relu(self._convT(h, "dec.up0"))
         return self._convT(h, "dec.up1")
 
-    def ablation_prior(self, embeddings: Tensor) -> DiagGaussian:
-        """Latent prior straight from the pooled episode embedding (no memory)."""
-        t = embeddings.shape[0]
-        pooled = ad.mean_(embeddings, axis=0, keepdims=True)
+    def ablation_prior(self, embeddings: Tensor, t=None) -> DiagGaussian:
+        """Latent prior straight from each pooled episode embedding (no
+        memory), repeated for the episode's t rows."""
+        n = embeddings.shape[0]
+        pooled = self._pool(embeddings, t)
+        b, l = pooled.shape[0], self.config.L
         h = ad.relu(self._dense(pooled, "abl.fc"))
-        d = self._gauss_head(h, "abl.out", (self.config.L,))
-        mean = ad.broadcast_to(d.mean, (t, self.config.L))
-        log_std = ad.broadcast_to(d.log_std, (t, self.config.L))
-        return DiagGaussian(mean=mean, log_std=log_std)
+        d = self._gauss_head(h, "abl.out", (l,))
+
+        def per_row(x):
+            x = ad.broadcast_to(ad.reshape(x, (b, 1, l)), (b, n // b, l))
+            return ad.reshape(x, (n, l))
+
+        return DiagGaussian(mean=per_row(d.mean), log_std=per_row(d.log_std))
 
     # -- persistence -------------------------------------------------------
 

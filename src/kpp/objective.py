@@ -1,14 +1,15 @@
 """Conditional evidence lower bound and the read/write/generate procedures.
 
-One elbo evaluation runs the full pipeline on a single episode: encode,
-infer keys, write the memory, read per-sample traces, form the readout
-prior, infer latents, decode, and assemble
+One elbo evaluation runs the full pipeline on a batch of B episodes in one
+graph: encode, infer keys, write one memory per episode, read per-sample
+traces from the sample's own memory, form the readout prior, infer latents,
+decode, and assemble
 
     elbo = recon_ll - kl_z - kl_y        (nats per image)
 
-with a single reparameterized draw for both keys and latents.  The
-no-memory ablation replaces the trace prior by a head on the pooled
-embedding and drops the key term.
+averaged over the episodes, with a single reparameterized draw for both
+keys and latents.  The no-memory ablation replaces the trace prior by a
+head on each episode's pooled embedding and drops the key term.
 """
 
 from dataclasses import dataclass, field
@@ -64,11 +65,19 @@ class _Stage:
         return False
 
 
-def _as_episode(episode):
-    if isinstance(episode, Episode):
-        return episode
-    images = np.asarray(episode, dtype=np.float64)
-    return Episode(images=images, dataset_ids=list(range(images.shape[0])))
+def _episode_stack(episodes):
+    """Images (B, T, C, H, W) of one episode (an Episode or a (T,C,H,W)
+    array) or of a sequence of B equal-length episodes."""
+    if isinstance(episodes, Episode):
+        return episodes.images[None]
+    if isinstance(episodes, (list, tuple)) and episodes and isinstance(episodes[0], Episode):
+        episodes = [ep.images for ep in episodes]
+    images = np.asarray(episodes, dtype=np.float64)
+    if images.ndim == 4:
+        images = images[None]
+    if images.ndim != 5 or 0 in images.shape[:2]:
+        raise ValueError(f"episodes must be (T,C,H,W) or (B,T,C,H,W), got {images.shape}")
+    return images
 
 
 def _recon_term(model, logits, target):
@@ -83,49 +92,59 @@ def _recon_term(model, logits, target):
 
 
 def read_memory(model, memory: Tensor, squashed_keys):
-    """Crop K traces per sample from one memory: keys (T,K,3) -> (T,K,C,h,w).
+    """Crop K traces per sample from its episode's memory: memories
+    (B,C,H,W) and keys (B*T,K,3), T samples per episode -> (B*T,K,C,h,w).
 
-    All T*K windows are read from the single memory in one sampling call, so
-    its image gradient is scattered once rather than once per sample.
+    All B*T*K windows are read in one sampling call, so each memory's image
+    gradient is scattered once rather than once per sample.
     """
-    t, k = squashed_keys.shape[:2]
+    b = memory.shape[0]
+    n, k = squashed_keys.shape[:2]
     traces = stn.sample_traces(
-        ad.reshape(memory, (1,) + memory.shape),
-        ad.reshape(squashed_keys, (1, t * k, 3)),
+        memory,
+        ad.reshape(squashed_keys, (b, n // b * k, 3)),
         model.config.trace_size,
     )
-    return ad.reshape(traces, (t, k) + traces.shape[2:])
+    return ad.reshape(traces, (n, k) + traces.shape[2:])
 
 
-def elbo_graph(model: MemoryVAE, episode, rng):
-    """Build the differentiable -elbo loss for one episode.
+def elbo_graph(model: MemoryVAE, episodes, rng):
+    """Build the differentiable -elbo loss for one episode or a batch of
+    equal-length episodes, in one graph.
 
     Returns (loss Tensor, ElboBreakdown).  The loss is the negative mean
-    elbo over the episode's images.
+    elbo over the episodes' images, which is the mean over episodes of each
+    episode's own loss; the breakdown holds the episode means.  Noise is
+    drawn episode by episode, keys before latents, so a batch draws what
+    the same episodes draw one at a time.
     """
-    episode = _as_episode(episode)
+    images = _episode_stack(episodes)
     rng = _rng(rng)
-    t = episode.T
-    x = ad.constant(episode.images)
+    b, t = images.shape[:2]
+    cfg = model.config
+    eps_y = np.empty((b, t, cfg.K, 3))
+    eps_z = np.empty((b, t, cfg.L))
+    for i in range(b):
+        # the no-memory arm draws the keys too, then leaves them unused
+        eps_y[i] = rng.standard_normal((t, cfg.K, 3))
+        eps_z[i] = rng.standard_normal((t, cfg.L))
+    x = ad.constant(images.reshape((b * t,) + images.shape[2:]))
 
     with _Stage("encode"):
-        emb = model.encode(x)
+        emb = model.encode(x, t)
 
     kl_y_mean = None
-    if model.config.ablation:
+    if cfg.ablation:
         with _Stage("ablation_prior"):
-            zp = model.ablation_prior(emb)
-        # keep rng stream aligned with the memory arm (keys drawn, unused)
-        rng.standard_normal((t, model.config.K, 3))
+            zp = model.ablation_prior(emb, t)
     else:
         with _Stage("key_posterior"):
             kq = model.key_posterior(emb)
         with _Stage("key_sample"):
-            eps_y = ad.constant(rng.standard_normal((t, model.config.K, 3)))
-            y = reparam_sample(kq, eps_y)
+            y = reparam_sample(kq, ad.constant(eps_y.reshape(b * t, cfg.K, 3)))
             y_sq = ad.tanh(y)
         with _Stage("write_memory"):
-            memory = model.write_memory(emb)
+            memory = model.write_memory(emb, t)
         with _Stage("read_memory"):
             traces = read_memory(model, memory, y_sq)
         with _Stage("readout_prior"):
@@ -136,8 +155,7 @@ def elbo_graph(model: MemoryVAE, episode, rng):
     with _Stage("latent_posterior"):
         zq = model.latent_posterior(emb)
     with _Stage("latent_sample"):
-        eps_z = ad.constant(rng.standard_normal((t, model.config.L)))
-        z = reparam_sample(zq, eps_z)
+        z = reparam_sample(zq, ad.constant(eps_z.reshape(b * t, cfg.L)))
     with _Stage("kl_z"):
         kl_z_mean = ad.mean_(kl_diag_gaussians(zq, zp))
     with _Stage("decode"):
@@ -163,10 +181,9 @@ def elbo_graph(model: MemoryVAE, episode, rng):
     return loss, breakdown
 
 
-def elbo(episode, model: MemoryVAE, rng_seed) -> ElboBreakdown:
-    """Evaluate the per-image elbo of one episode (no gradients kept)."""
-    _, breakdown = elbo_graph(model, episode, _rng(rng_seed))
-    return breakdown
+def elbo(episodes, model: MemoryVAE, rng_seed) -> ElboBreakdown:
+    """Evaluate the per-image elbo of one episode or a batch (no gradients kept)."""
+    return elbo_graph(model, episodes, _rng(rng_seed))[1]
 
 
 def _decode_output(model, z):
@@ -177,7 +194,8 @@ def _decode_output(model, z):
 
 
 def generate(memory: Tensor, n: int, model: MemoryVAE, rng_seed) -> np.ndarray:
-    """Sample n images from the memory: prior keys, trace prior mean, decode."""
+    """Sample n images from one memory (1,C,H,W), as ``write_memory`` returns
+    it for one episode: prior keys, trace prior mean, decode."""
     rng = _rng(rng_seed)
     raw_keys = rng.standard_normal((n, model.config.K, 3))
     return _generate_from_raw_keys(memory, raw_keys, model)

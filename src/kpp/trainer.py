@@ -1,6 +1,7 @@
 """Episodic training loop: Adam with decoupled weight decay, warmup +
 cosine schedule, per-epoch train/test metrics, best checkpointing."""
 
+import copy
 import csv
 import os
 import time
@@ -16,6 +17,7 @@ from .objective import elbo_graph
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_EVAL_CHUNK = 4   # test episodes per eval graph: no larger than a default training step
 
 METRICS_HEADER = ["epoch", "split", "elbo", "recon_ll", "kl_z", "kl_y",
                   "wall_seconds", "seed"]
@@ -116,24 +118,33 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
     return config.lr * 0.5 * (1.0 + np.cos(np.pi * min(t, 1.0)))
 
 
+def _constants(model: MemoryVAE) -> MemoryVAE:
+    """The model with its parameters as constants.  A graph built on it
+    keeps no parents, so each intermediate is freed once the next op has
+    used it, instead of living until the loss is dropped."""
+    frozen = copy.copy(model)
+    frozen.params = {name: ad.tensor(p.data, name=name) for name, p in model.params.items()}
+    return frozen
+
+
 def eval_conditional(model: MemoryVAE, dataset: Dataset, t: int, seed) -> MetricsRow:
     """Partition the split into episodes, write memory from each, score
-    the conditional bound on the same episode; averages over episodes."""
+    the conditional bound on the same episode; averages over episodes.
+
+    Episodes are scored a few at a time, one forward-only graph per chunk."""
     n = len(dataset)
     if n < t:
         raise ValueError(f"split of {n} images cannot form episodes of length {t}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    order = rng.permutation(n)
+    episodes = rng.permutation(n)[:n // t * t].reshape(-1, t)
     start = time.perf_counter()
+    frozen = _constants(model)
     sums = np.zeros(3)
-    count = 0
-    for lo in range(0, n - t + 1, t):
-        ids = order[lo:lo + t]
-        episode = dataset.images[ids]
-        _, bd = elbo_graph(model, episode, rng)
-        sums += (bd.recon_ll, bd.kl_z, bd.kl_y)
-        count += 1
-    recon, kl_z, kl_y = sums / count
+    for lo in range(0, len(episodes), _EVAL_CHUNK):
+        chunk = episodes[lo:lo + _EVAL_CHUNK]
+        bd = elbo_graph(frozen, dataset.images[chunk], rng)[1]
+        sums += len(chunk) * np.array((bd.recon_ll, bd.kl_z, bd.kl_y))
+    recon, kl_z, kl_y = sums / len(episodes)
     seed_int = seed if isinstance(seed, int) else -1
     return MetricsRow(
         epoch=-1, split=dataset.split, elbo=recon - kl_z - kl_y,
@@ -171,21 +182,17 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
         n_acc = 0
         for _ in range(steps_per_epoch):
             episodes = sampler.sample_batch(config.batch_episodes)
-            losses = []
-            for ep in episodes:
-                loss, bd = elbo_graph(model, ep, noise_rng)
-                losses.append(loss)
-                acc += (bd.recon_ll, bd.kl_z, bd.kl_y)
-                n_acc += 1
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ad.add(total, extra)
-            total = ad.mul(total, ad.constant(1.0 / len(losses)))
+            loss, bd = elbo_graph(model, episodes, noise_rng)
+            acc += len(episodes) * np.array((bd.recon_ll, bd.kl_z, bd.kl_y))
+            n_acc += len(episodes)
             ad.zero_grad(params)
-            ad.backward(total)
+            ad.backward(loss)
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
                      for p in params]
             adam_step(params, grads, state, lr, config.weight_decay)
+            # the graph and its gradients must not outlive the step: the
+            # epoch's eval would build its own graph next to them
+            del loss
 
         recon, kl_z, kl_y = acc / n_acc
         train_elbo = recon - kl_z - kl_y

@@ -12,9 +12,11 @@ STRIDE_PAD = [(1, 0), (1, 1), (2, 1), (3, 2)]
 KERNEL_SIZES = [3, 4]
 
 
-# (B,G,C,h,w,H,W) shapes with grids in +-1.3, then two edge cases
-BILINEAR_CASES = [(2, 4, 3, 5, 6, 7, 9), (3, 2, 1, 16, 16, 8, 8), "off_canvas", "on_pixels"]
-BILINEAR_IDS = ["shape0", "shape1", "off_canvas", "on_pixels"]
+# (B,G,C,h,w,H,W) shapes with grids in +-1.3 (the third is a batched read:
+# several canvases, many windows each), then two edge cases
+BILINEAR_CASES = [(2, 4, 3, 5, 6, 7, 9), (3, 2, 1, 16, 16, 8, 8), (4, 48, 3, 6, 5, 24, 20),
+                  "off_canvas", "on_pixels"]
+BILINEAR_IDS = ["shape0", "shape1", "batched", "off_canvas", "on_pixels"]
 
 
 def _out_size(size, k, stride, pad):
@@ -76,6 +78,16 @@ class TestOracle:
         got = kernels.conv2d_kernel_grad(gy, x, stride, pad, k, k)
         expect = ref.conv2d_kernel_grad(gy, x, stride, pad, k, k)
         assert got.shape == (5, 4, k, k)
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+    def test_conv2d_kernel_grad_batched(self, rng):
+        """Many images whose im2col has more rows (Ci*kh*kw) than output
+        pixels (ho*wo), as in the encoder's last layer over a batch."""
+        x = rng.normal(size=(40, 12, 4, 4))
+        gy = rng.normal(size=(40, 7, 2, 2))
+        got = kernels.conv2d_kernel_grad(gy, x, 2, 1, 3, 3)
+        expect = ref.conv2d_kernel_grad(gy, x, 2, 1, 3, 3)
+        assert got.shape == (7, 12, 3, 3)
         assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_conv_transpose_layer_shape(self, rng):

@@ -133,6 +133,26 @@ class TestTsmShift:
         with pytest.raises(ValueError):
             tsm_shift(ad.constant(np.zeros((2, 8, 4))))
 
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_episodes_shift_apart(self, rng, t):
+        """Three stacked episodes shift as each episode does on its own,
+        values and gradients alike: nothing crosses a boundary."""
+        x = rng.normal(size=(3 * t, 16, 2, 2))
+        proj = rng.normal(size=x.shape)
+        stacked = ad.parameter(x)
+        ad.backward(ad.sum_(ad.mul(tsm_shift(stacked, t), ad.constant(proj))))
+        for e in range(3):
+            rows = slice(e * t, (e + 1) * t)
+            alone = ad.parameter(x[rows])
+            out = tsm_shift(alone)
+            ad.backward(ad.sum_(ad.mul(out, ad.constant(proj[rows]))))
+            assert np.array_equal(tsm_shift(ad.constant(x), t).data[rows], out.data)
+            assert np.array_equal(stacked.grad[rows], alone.grad)
+
+    def test_episode_length_must_split_rows(self):
+        with pytest.raises(ValueError):
+            tsm_shift(ad.constant(np.zeros((5, 8, 2, 2))), 2)
+
 
 class TestEncode:
     def test_zero_episode_zero_embedding(self):
@@ -168,6 +188,17 @@ class TestEncode:
         x = rng.random((2, 1, 8, 8))
         assert np.array_equal(model.encode(x).data, model.encode(x).data)
 
+    def test_episode_stack_matches_each_episode(self, rng):
+        """Two stacked episodes embed row for row as each does alone; a
+        shift across the flat B*T axis would mix them at the boundary."""
+        model = MemoryVAE(tiny_conv_cfg(), seed=3)
+        randomize(model, rng, scale=0.5)
+        x = rng.random((6, 1, 8, 8))
+        both = model.encode(x, 3).data
+        for e in range(2):
+            alone = model.encode(x[3 * e:3 * e + 3]).data
+            assert np.max(np.abs(both[3 * e:3 * e + 3] - alone)) <= 1e-12
+
 
 class TestWriteMemory:
     def test_permutation_invariance(self, rng):
@@ -176,7 +207,7 @@ class TestWriteMemory:
         m0 = model.write_memory(ad.constant(emb)).data
         m1 = model.write_memory(ad.constant(emb[::-1].copy())).data
         assert np.max(np.abs(m0 - m1)) <= 1e-12
-        assert m0.shape == model.config.memory_shape
+        assert m0.shape == (1,) + model.config.memory_shape   # one episode, one memory
 
     def test_duplicate_rows_match_single(self, rng):
         model = MemoryVAE(tiny_conv_cfg(), seed=4)
@@ -193,6 +224,15 @@ class TestWriteMemory:
             memory = model.write_memory(ad.constant(emb)).data
             seen.add(memory.tobytes())
         assert len(seen) == 100
+
+    def test_one_memory_per_episode(self, rng):
+        model = MemoryVAE(tiny_conv_cfg(), seed=4)
+        emb = rng.normal(size=(6, 8))
+        both = model.write_memory(ad.constant(emb), 3).data
+        assert both.shape == (2,) + model.config.memory_shape
+        for e in range(2):
+            alone = model.write_memory(ad.constant(emb[3 * e:3 * e + 3])).data
+            assert np.max(np.abs(both[e] - alone[0])) <= 1e-12
 
     def test_ablation_model_has_no_writer(self):
         model = MemoryVAE(tiny_conv_cfg(ablation=True), seed=0)
@@ -223,6 +263,18 @@ class TestGaussianHeads:
         d = model.ablation_prior(emb)
         assert np.array_equal(d.mean.data, np.zeros((3, cfg.L)))
         assert np.array_equal(d.log_std.data, np.zeros((3, cfg.L)))
+
+    def test_ablation_prior_per_episode(self, rng):
+        cfg = tiny_conv_cfg(ablation=True)
+        model = MemoryVAE(cfg, seed=5)
+        randomize(model, rng, scale=0.5)
+        emb = rng.normal(size=(6, cfg.embed_dim))
+        both = model.ablation_prior(ad.constant(emb), 2)
+        assert both.mean.shape == (6, cfg.L)
+        for e in range(3):
+            alone = model.ablation_prior(ad.constant(emb[2 * e:2 * e + 2]))
+            for got, want in ((both.mean, alone.mean), (both.log_std, alone.log_std)):
+                assert np.max(np.abs(got.data[2 * e:2 * e + 2] - want.data)) <= 1e-12
 
     def test_log_std_clamped(self, rng):
         cfg = tiny_dense_cfg()

@@ -222,7 +222,7 @@ class TestHandModelOracle:
         assert traces.shape == (3, 2, 1, 2, 2)
         for t in range(3):
             for k in range(2):
-                ref = reference_crop(memory.data, keys[t, k], 2, 2)
+                ref = reference_crop(memory.data[0], keys[t, k], 2, 2)
                 assert np.max(np.abs(traces.data[t, k] - ref)) <= 1e-12
 
 
@@ -322,6 +322,80 @@ class TestArms:
         br = elbo(images, model, rng_seed=0)
         assert br.kl_y == 0.0
         assert br.kl_z > 0.0
+
+
+class TestEpisodeBatch:
+    """One graph over a batch of episodes is the mean of one graph per
+    episode: the same loss, breakdown, gradients and noise draws."""
+
+    @staticmethod
+    def _run(model, batch, seed):
+        """(loss, breakdown terms, parameter gradients, next draw)."""
+        params = model.trainable()
+        ad.zero_grad(params)
+        noise = np.random.default_rng(seed)
+        loss, br = elbo_graph(model, batch, noise)
+        ad.backward(loss)
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+        terms = np.array([float(loss.data), br.recon_ll, br.kl_z, br.kl_y, br.elbo])
+        return terms, grads, noise.standard_normal(4)
+
+    @pytest.mark.parametrize("ablation", [False, True])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_batch_is_mean_of_episodes(self, rng, ablation, t):
+        model = MemoryVAE(conv_cfg(T=t, K=2, ablation=ablation), seed=11)
+        randomize(model, rng, scale=0.3)
+        images = (rng.random((3, t, 1, 8, 8)) < 0.5).astype(np.float64)
+        episodes = [Episode(images=im, dataset_ids=list(range(t))) for im in images]
+        terms, grads, draw = self._run(model, episodes, 21)
+
+        # the reference: one graph per episode on one noise stream, averaged
+        params = model.trainable()
+        ad.zero_grad(params)
+        noise = np.random.default_rng(21)
+        losses, rows = [], []
+        for ep in episodes:
+            loss, br = elbo_graph(model, ep, noise)
+            losses.append(loss)
+            rows.append([float(loss.data), br.recon_ll, br.kl_z, br.kl_y, br.elbo])
+        total = ad.mul(ad.add(ad.add(losses[0], losses[1]), losses[2]), ad.constant(1 / 3))
+        ad.backward(total)
+
+        want = np.mean(rows, axis=0)
+        assert rel_err(terms, want, floor=1e-300) <= 1e-12
+        assert terms[0] == -terms[4]          # the loss is -elbo, exactly
+        for p, g in zip(params, grads):
+            ref = np.zeros_like(p.data) if p.grad is None else p.grad
+            assert np.max(np.abs(g - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300), p.name
+        assert np.array_equal(draw, noise.standard_normal(4))
+
+    def test_array_batch_matches_episode_list(self, rng):
+        model = MemoryVAE(conv_cfg(T=2), seed=12)
+        randomize(model, rng, scale=0.3)
+        images = (rng.random((2, 2, 1, 8, 8)) < 0.5).astype(np.float64)
+        episodes = [Episode(images=im, dataset_ids=[0, 1]) for im in images]
+        a = self._run(model, images, 5)
+        b = self._run(model, episodes, 5)
+        assert np.array_equal(a[0], b[0])
+
+    def test_unequal_episodes_rejected(self, rng):
+        model = MemoryVAE(conv_cfg(T=2), seed=12)
+        episodes = [rng.random((2, 1, 8, 8)), rng.random((3, 1, 8, 8))]
+        with pytest.raises(ValueError):
+            elbo_graph(model, episodes, 0)
+
+    def test_read_memory_reads_own_memory(self, rng):
+        """Samples of episode b read memory b: one sampling call over the
+        batch equals each episode's own read."""
+        model = MemoryVAE(conv_cfg(K=2), seed=13)
+        memory = ad.constant(rng.normal(size=(3, 1, 16, 16)))
+        keys = np.tanh(rng.normal(size=(6, 2, 3)))
+        both = read_memory(model, memory, ad.constant(keys)).data
+        assert both.shape == (6, 2, 1, 4, 4)
+        for e in range(3):
+            alone = read_memory(model, ad.constant(memory.data[e:e + 1]),
+                                ad.constant(keys[2 * e:2 * e + 2])).data
+            assert np.array_equal(both[2 * e:2 * e + 2], alone)
 
 
 def make_trained_ish(rng, **kw):

@@ -1,0 +1,39 @@
+"""Smoke test of the benchmark in perfbench/: a one-second run of every
+workload, and a traced one, must pass all of its own checks.
+
+The benchmark hooks kpp from outside through module attributes
+(``trainer.elbo_graph``, the four-argument ``trainer.eval_conditional``,
+``write_memory`` feeding ``objective.generate``, ...).  If a change to kpp
+moved one of them, the probe would lose a hook or a per-step check without
+any kpp test failing; these runs catch that.  Nothing under perfbench/ is
+edited.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUN = os.path.join(ROOT, "perfbench", "run.py")
+
+RUNS = [("train-default", 0), ("train-long-episode", 0), ("train-no-memory", 0),
+        ("infer-read", 0), ("train-default", 1)]
+
+
+@pytest.mark.parametrize("workload,trace", RUNS, ids=[f"{w}-trace{t}" for w, t in RUNS])
+def test_benchmark_run_is_correct(workload, trace):
+    proc = subprocess.run(
+        [sys.executable, RUN, "--workload", workload, "--seconds", "1", "--seed", "1",
+         "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.strip().splitlines()
+    info = json.loads(lines[-2])["info"]
+    result = json.loads(lines[-1])
+    assert info["unhooked"] == [], info["unhooked"]
+    assert result["failed"] == 0, info["errors"]
+    assert result["correct"] is True, info["checks"]

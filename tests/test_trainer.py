@@ -1,12 +1,15 @@
 """Optimizer, schedule, metrics, and the episodic training loop."""
 
 import csv
+import gc
 
 import numpy as np
 import pytest
 
 from kpp import autodiff as ad
+from kpp import trainer
 from kpp.data import synth_shapes
+from kpp.objective import elbo_graph
 from kpp.nets import MemoryVAE, ModelConfig
 from kpp.trainer import (
     ADAM_BETA1,
@@ -24,6 +27,7 @@ from kpp.trainer import (
     write_metrics,
 )
 
+from conftest import rel_err
 from test_objective import conv_cfg
 
 
@@ -198,6 +202,24 @@ class TestEvalConditional:
         assert row.elbo == row.recon_ll - row.kl_z - row.kl_y
         assert row.split == "test"
 
+    def test_chunks_match_per_episode_loop(self, rng):
+        """Five episodes (the last chunk holds one; one image is left over)
+        score as one graph per episode does, averaged."""
+        model = MemoryVAE(conv_cfg(T=3), seed=2)
+        for p in model.params.values():
+            p.data = rng.normal(size=p.data.shape) * 0.3
+        test_set = synth_shapes(16, 8, 8, seed=101, split="test")
+        row = eval_conditional(model, test_set, 3, [4, 5])
+
+        noise = np.random.Generator(np.random.PCG64(np.random.SeedSequence([4, 5])))
+        order = noise.permutation(16)
+        terms = []
+        for lo in range(0, 15, 3):
+            br = elbo_graph(model, test_set.images[order[lo:lo + 3]], noise)[1]
+            terms.append([br.elbo, br.recon_ll, br.kl_z, br.kl_y])
+        got = [row.elbo, row.recon_ll, row.kl_z, row.kl_y]
+        assert rel_err(got, np.mean(terms, axis=0), floor=1e-300) <= 1e-12
+
 
 class TestTrain:
     def test_history_shape_and_artifacts(self, tmp_path):
@@ -248,6 +270,24 @@ class TestTrain:
                               schedule="constant")
         with pytest.raises(DivergenceError):
             train(cfg, train_set, test_set)
+
+    def test_step_graph_released_before_eval(self, monkeypatch):
+        """No graph node that holds a gradient is alive when the epoch's
+        eval starts: the last step's graph is gone, not kept beside the
+        eval graph."""
+        live = []
+
+        def checked(model, dataset, t, seed):
+            gc.collect()
+            live.append(sum(1 for o in gc.get_objects()
+                            if isinstance(o, ad.Tensor) and o._parents and o.grad is not None))
+            return real(model, dataset, t, seed)
+
+        real = trainer.eval_conditional
+        monkeypatch.setattr(trainer, "eval_conditional", checked)
+        train_set, test_set = small_data()
+        train(small_train_cfg(epochs=1), train_set, test_set)
+        assert live == [0]
 
     def test_log_callback_invoked(self):
         train_set, test_set = small_data()
