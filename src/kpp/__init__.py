@@ -20,8 +20,7 @@ from .distributions import (
     reparam_sample,
 )
 from .nets import Episode, MemoryVAE, ModelConfig, load_checkpoint, save_checkpoint
-from .objective import ElboBreakdown, denoise, elbo, elbo_graph, generate, iterative_read, perturbed_generate
-from .stn import read_traces
+from .objective import ElboBreakdown, denoise, elbo_graph, generate, iterative_read, perturbed_generate
 from .trainer import DivergenceError, MetricsRow, TrainConfig, adam_step, eval_conditional, lr_at, train
 
 __version__ = "0.1.0"

@@ -41,50 +41,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return slice_(self, idx)
 
@@ -223,17 +179,6 @@ def exp(x):
     return make_node("exp", out, (x,), bwd)
 
 
-def log(x):
-    x = _wrap(x)
-    with np.errstate(all="ignore"):
-        out = np.log(x.data)
-
-    def bwd(gy):
-        accumulate(x, gy / x.data)
-
-    return make_node("log", out, (x,), bwd)
-
-
 def softplus(x):
     x = _wrap(x)
     out = np.logaddexp(0.0, x.data)
@@ -322,9 +267,10 @@ def slice_(x, idx):
         out = out.copy()
 
     def bwd(gy):
-        g = np.zeros_like(x.data)
-        g[idx] += gy
-        accumulate(x, g)
+        # one bin per entry of x, so an entry that idx picks twice gets both
+        pos = np.arange(x.data.size).reshape(x.shape)[idx]
+        g = np.bincount(pos.ravel(), weights=gy.ravel(), minlength=x.data.size)
+        accumulate(x, g.reshape(x.shape))
 
     return make_node("slice", out, (x,), bwd)
 
@@ -486,7 +432,7 @@ def backward(loss):
 
 def zero_grad(tensors):
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
 
 
 def clamp(x, lo, hi):

@@ -191,15 +191,19 @@ def cmd_generate(args, argv):
     ckpt = opt.get("ckpt")
     if not ckpt or not os.path.exists(ckpt):
         raise FileNotFoundError(f"--ckpt {ckpt!r}: checkpoint not found")
+    n = opt.get("n")
+    perturb = opt.get("perturb")
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
+    if perturb < 0:
+        raise ValueError(f"--perturb must be >= 0, got {perturb}")
     out_dir = opt.get("out") or os.path.join("runs", "generate")
     _write_manifest(out_dir, argv, opt.snapshot(), opt.get("seed"))
     model = MemoryVAE.load(ckpt)
     _, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
     memory, _ = _memory_from_test_episode(
         model, test_set, opt.get("T"), [opt.get("seed"), 10])
-    n = opt.get("n")
     seed = opt.get("seed")
-    perturb = opt.get("perturb")
     key_rows = []
     if perturb > 0:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
@@ -277,12 +281,7 @@ def cmd_denoise(args, argv):
     return 0
 
 
-ABLATE_DEFAULTS = dict(
-    data="synth", axis="memory", values="on,off", seeds="1,2,3", epochs=30,
-    T=8, K=2, L=64, lr=1e-3, batch=4, episodes_per_epoch=32, warmup=10,
-    schedule="cosine", weight_decay=1e-3, likelihood="bernoulli", sigma=1.0,
-    binarize="threshold", no_memory=False, seed=1, out="",
-)
+ABLATE_DEFAULTS = dict(TRAIN_DEFAULTS, axis="memory", values="on,off", seeds="1,2,3")
 
 
 def _ablate_cell(opt, train_set, test_set, axis, value, seed):

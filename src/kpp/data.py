@@ -43,30 +43,22 @@ def _rng_from(seed):
 
 
 def load_idx(path, split="train", name=None):
-    """Parse an IDX file; images (magic 0x803) become a Dataset in [0,1].
-
-    Label files (magic 0x801) return the raw 1-D label array instead.
-    """
+    """Parse an IDX image file (magic 0x803) into a Dataset in [0,1]."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 4:
         raise ValueError(f"{path}: truncated IDX header, need 4 bytes at offset 0, got {len(raw)}")
     (magic,) = struct.unpack_from(">I", raw, 0)
-    if magic == 0x00000803:
-        ndim = 3
-    elif magic == 0x00000801:
-        ndim = 1
-    else:
+    if magic != 0x00000803:
         raise ValueError(
-            f"{path}: bad IDX magic 0x{magic:08x} at offset 0 "
-            f"(expected 0x00000803 images or 0x00000801 labels)"
+            f"{path}: bad IDX magic 0x{magic:08x} at offset 0 (expected 0x00000803 images)"
         )
-    header = 4 + 4 * ndim
+    header = 16  # magic, then the three dims (n, h, w)
     if len(raw) < header:
         raise ValueError(
             f"{path}: truncated IDX header, need {header} bytes, got {len(raw)}"
         )
-    dims = struct.unpack_from(f">{ndim}I", raw, 4)
+    dims = struct.unpack_from(">3I", raw, 4)
     count = int(np.prod(dims))
     expected = header + count
     if len(raw) != expected:
@@ -74,10 +66,8 @@ def load_idx(path, split="train", name=None):
             f"{path}: expected {expected} bytes for dims {dims}, file has {len(raw)} "
             f"(data starts at offset {header})"
         )
-    body = np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims)
-    if magic == 0x00000801:
-        return body.copy()
     n, h, w = dims
+    body = np.frombuffer(raw, dtype=np.uint8, offset=header)
     images = body.reshape(n, 1, h, w).astype(np.float64) / 255.0
     return Dataset(images=images, split=split, name=name or "idx")
 

@@ -40,10 +40,6 @@ class Episode:
         if len(self.dataset_ids) != self.images.shape[0]:
             raise ValueError("dataset_ids length must equal episode length")
 
-    @property
-    def T(self):
-        return self.images.shape[0]
-
 
 @dataclass
 class ModelConfig:
@@ -123,9 +119,7 @@ def tsm_shift(features: Tensor, t=None) -> Tensor:
     if fold == 0:
         return features
     # Row 0 of the padded stack is zeros and row r + 1 holds features[r]; one
-    # gather picks each (row, channel)'s source row.  Only row 0 is picked
-    # more than once, and it is a constant, so the gather's backward (which
-    # does not add up repeated picks) is exact for the features.
+    # gather picks each (row, channel)'s source row.
     step = np.arange(n) % t
     rows = np.arange(1, n + 1)
     src = np.repeat(rows[:, None], c, axis=1)
@@ -156,9 +150,8 @@ class MemoryVAE:
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
         self.seed = int(seed)
-        self._spec = self._build_spec(config)
         self.params = {}
-        for name, shape, kind in self._spec:
+        for name, shape, kind in self._build_spec(config):
             if self._owned(name):
                 self.params[name] = ad.parameter(
                     self._init_value(name, shape, kind), name=name
@@ -267,15 +260,6 @@ class MemoryVAE:
         dense("abl.fc", cfg.embed_dim, h_abl)
         spec.extend(self._gauss_head_spec("abl.out", h_abl, cfg.L))
         return spec
-
-    def n_params(self, prefix=None):
-        total = 0
-        for name, shape, _ in self._spec:
-            if not self._owned(name):
-                continue
-            if prefix is None or name.startswith(prefix):
-                total += int(np.prod(shape))
-        return total
 
     def trainable(self):
         """Parameters in a fixed, name-sorted order."""

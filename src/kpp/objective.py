@@ -181,11 +181,6 @@ def elbo_graph(model: MemoryVAE, episodes, rng):
     return loss, breakdown
 
 
-def elbo(episodes, model: MemoryVAE, rng_seed) -> ElboBreakdown:
-    """Evaluate the per-image elbo of one episode or a batch (no gradients kept)."""
-    return elbo_graph(model, episodes, _rng(rng_seed))[1]
-
-
 def _decode_output(model, z):
     logits = model.decode(z)
     if model.config.likelihood == "bernoulli":

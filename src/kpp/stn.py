@@ -25,8 +25,8 @@ def _target_coords(out_h, out_w):
 def grid_from_keys(keys: Tensor, out_h: int, out_w: int) -> Tensor:
     """Batched sampling grids from squashed keys (B, K, 3) -> (B, K, h, w, 2)."""
     keys = ad.tensor(keys) if not isinstance(keys, Tensor) else keys
-    if len(keys.shape) != 3 or keys.shape[-1] != 3:
-        raise ValueError(f"grid_from_keys expects (B, K, 3) keys, got {keys.shape}")
+    if len(keys.shape) != 3 or keys.shape[-1] != 3 or keys.shape[1] < 1:
+        raise ValueError(f"grid_from_keys expects (B, K, 3) keys with K >= 1, got {keys.shape}")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"grid size must be >= 1, got ({out_h}, {out_w})")
     b, k = keys.shape[0], keys.shape[1]
@@ -42,18 +42,3 @@ def sample_traces(memory: Tensor, keys: Tensor, out_size) -> Tensor:
     grid = grid_from_keys(keys, out_h, out_w)
     return ad.bilinear_sample(memory, grid)
 
-
-def read_traces(memory: Tensor, keys, out_size) -> Tensor:
-    """Crop one memory (C,H,W) with squashed keys (K,3) -> (K,C,h,w)."""
-    memory = ad.tensor(memory) if not isinstance(memory, Tensor) else memory
-    keys = ad.tensor(keys) if not isinstance(keys, Tensor) else keys
-    if len(memory.shape) != 3:
-        raise ValueError(f"read_traces expects a (C,H,W) memory, got {memory.shape}")
-    if len(keys.shape) != 2 or keys.shape[1] != 3 or keys.shape[0] < 1:
-        raise ValueError(f"read_traces expects (K, 3) keys, got {keys.shape}")
-    out = sample_traces(
-        ad.reshape(memory, (1,) + memory.shape),
-        ad.reshape(keys, (1,) + keys.shape),
-        out_size,
-    )
-    return ad.reshape(out, out.shape[1:])

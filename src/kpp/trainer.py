@@ -161,6 +161,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     out_dir when given.  Aborts with DivergenceError if the train elbo
     sits 10x below its initial value for three consecutive epochs.
     """
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     model = MemoryVAE(config.model, seed=config.seed)
     params = model.trainable()
     state = init_adam_state(params)

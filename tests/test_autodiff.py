@@ -18,7 +18,6 @@ def r(rng, *shape):
 
 UNARY_OPS = [
     ("exp", ad.exp, lambda rng: r(rng, 3, 4) * 0.5),
-    ("log", ad.log, lambda rng: np.abs(r(rng, 3, 4)) + 0.5),
     ("softplus", ad.softplus, lambda rng: r(rng, 3, 4) * 3),
     ("tanh", ad.tanh, lambda rng: r(rng, 3, 4)),
     ("sigmoid", ad.sigmoid, lambda rng: r(rng, 3, 4) * 2),
@@ -82,11 +81,12 @@ def test_concat_gradient():
 
 
 def test_slice_gradient():
-    for draw in range(50):
-        rng = np.random.default_rng(3300 + draw)
-        worst = check_op_gradient(
-            lambda x: ad.slice_(x, (slice(1, 3), slice(None, 2))), [r(rng, 4, 5)], seed=draw)
-        assert worst <= 1e-4
+    # the second index picks row 0 three times: its gradients must add up
+    for idx in ((slice(1, 3), slice(None, 2)), (np.array([0, 0, 2, 0]), slice(1, 4))):
+        for draw in range(50):
+            rng = np.random.default_rng(3300 + draw)
+            worst = check_op_gradient(lambda x: ad.slice_(x, idx), [r(rng, 4, 5)], seed=draw)
+            assert worst <= 1e-4, f"index {idx} draw {draw}: rel err {worst}"
 
 
 @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True), ((0, 1), False)])
@@ -237,8 +237,8 @@ def test_cycle_detection(rng):
 def test_nonfinite_forward_rejected():
     with pytest.raises(NonFiniteError):
         ad.exp(ad.constant([1000.0]))
-    with pytest.raises(NonFiniteError):
-        ad.log(ad.constant([-1.0]))
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+        ad.mul(ad.constant([1e200]), ad.constant([1e200]))
     with pytest.raises(NonFiniteError):
         ad.tensor([np.nan])
 
@@ -272,14 +272,3 @@ def test_zero_grad_resets(rng):
     ad.zero_grad([x])
     assert x.grad is None
 
-
-def test_operator_sugar_matches_functions(rng):
-    a, b = r(rng, 2, 2), r(rng, 2, 2)
-    ta, tb = ad.constant(a), ad.constant(b)
-    assert np.array_equal((ta + tb).data, a + b)
-    assert np.array_equal((ta - tb).data, a - b)
-    assert np.array_equal((ta * tb).data, a * b)
-    assert np.array_equal((ta @ tb).data, a @ b)
-    assert np.array_equal((-ta).data, -a)
-    assert np.array_equal(ta.reshape((4,)).data, a.reshape(4))
-    assert float(ta.sum().data) == pytest.approx(a.sum(), abs=1e-12)

@@ -67,6 +67,15 @@ class TestTrain:
         assert (out / "manifest.txt").exists()
         assert not (out / "metrics.csv").exists()
 
+    def test_label_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "labels.idx"
+        path.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([3, 1, 4]))
+        rc = run(["train", "--data", str(path), *FAST, "--out", str(tmp_path / "lab")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kpp: error: ") and "bad IDX magic" in err
+        assert "Traceback" not in err
+
     def test_divergence_exit_code(self, tmp_path):
         rc = run(["train", "--data", "synth", "--T", "2", "--K", "1", "--L", "8",
                   "--epochs", "10", "--episodes-per-epoch", "2", "--batch", "1",
@@ -148,6 +157,16 @@ class TestGenerate:
         rc = run(["generate", "--ckpt", str(tmp_path / "nope.bin"),
                   "--out", str(tmp_path / "g")])
         assert rc == 1
+
+    @pytest.mark.parametrize("flag,value", [("--perturb", "-0.5"), ("--n", "0")])
+    def test_bad_count_or_scale_rejected(self, ckpt_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "g"
+        rc = run(["generate", "--ckpt", str(ckpt_dir / "final.bin"),
+                  "--data", "synth", "--T", "4", flag, value, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"kpp: error: {flag} must be")
+        assert not out.exists()
 
 
 class TestDenoise:

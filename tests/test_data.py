@@ -59,11 +59,11 @@ class TestLoadIdx:
         assert d.images.shape == (7, 1, 5, 6)
         assert np.array_equal(d.images, arr[:, None].astype(np.float64) / 255.0)
 
-    def test_label_roundtrip(self, tmp_path):
+    def test_label_file_rejected(self, tmp_path):
         p = tmp_path / "labels.idx"
         write_idx_labels(p, [3, 1, 4, 1, 5])
-        out = load_idx(p)
-        assert np.array_equal(out, [3, 1, 4, 1, 5])
+        with pytest.raises(ValueError, match="bad IDX magic 0x00000801"):
+            load_idx(p)
 
     def test_bad_magic_reports_offset(self, tmp_path):
         p = tmp_path / "bad.idx"

@@ -15,7 +15,6 @@ from kpp.nets import Episode, MemoryVAE, ModelConfig
 from kpp.objective import (
     ElboBreakdown,
     denoise,
-    elbo,
     elbo_graph,
     generate,
     iterative_read,
@@ -159,7 +158,7 @@ class TestBreakdown:
         model = MemoryVAE(conv_cfg(), seed=1)
         randomize(model, rng, scale=0.1)
         images = (rng.random((3, 1, 8, 8)) < 0.5).astype(np.float64)
-        br = elbo(images, model, rng_seed=5)
+        br = elbo_graph(model, images, 5)[1]
         assert br.elbo == br.recon_ll - br.kl_z - br.kl_y
         assert br.kl_z >= 0.0 and br.kl_y >= 0.0
         assert br.recon_ll <= 0.0  # Bernoulli log-likelihood of binary data
@@ -176,7 +175,7 @@ class TestBreakdown:
     def test_zero_init_heads_zero_kl(self, rng):
         model = MemoryVAE(conv_cfg(), seed=2)
         images = (rng.random((2, 1, 8, 8)) < 0.5).astype(np.float64)
-        br = elbo(images, model, rng_seed=0)
+        br = elbo_graph(model, images, 0)[1]
         assert br.kl_z == 0.0 and br.kl_y == 0.0
         assert br.elbo == br.recon_ll
 
@@ -205,7 +204,7 @@ class TestHandModelOracle:
                 - 0.5 * (xflat - logits) ** 2 / sig ** 2
             ).sum(axis=1)
         for seed in range(5):
-            br = elbo(images, model, rng_seed=seed)
+            br = elbo_graph(model, images, seed)[1]
             want, want_recon, want_klz, want_kly = oracle.elbo(images, seed)
             assert abs(br.elbo - want) <= 1e-10
             assert abs(br.recon_ll - want_recon) <= 1e-10
@@ -276,7 +275,7 @@ class TestBoundAndUnbiasedness:
 
         # single-sample estimator is unbiased: 1e4 package draws in-band,
         # both for the full bound and for the key-averaged kl_z term alone
-        picks = [elbo(x, model, rng_seed=i) for i in range(10_000)]
+        picks = [elbo_graph(model, x, i)[1] for i in range(10_000)]
         draws = np.array([b.elbo for b in picks])
         pkg_se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - exact_elbo) <= 3 * np.hypot(pkg_se, exact_se)
@@ -302,7 +301,7 @@ class TestStageLabels:
         model.params[param].data[:] = np.nan
         images = (rng.random((2, 1, 8, 8)) < 0.5).astype(np.float64)
         with pytest.raises(NonFiniteError, match=stage):
-            elbo(images, model, rng_seed=0)
+            elbo_graph(model, images, 0)
 
 
 class TestArms:
@@ -310,8 +309,8 @@ class TestArms:
         images = (rng.random((3, 1, 8, 8)) < 0.5).astype(np.float64)
         mem_arm = MemoryVAE(conv_cfg(), seed=8)
         abl_arm = MemoryVAE(conv_cfg(ablation=True), seed=8)
-        a = elbo(images, mem_arm, rng_seed=4)
-        b = elbo(images, abl_arm, rng_seed=4)
+        a = elbo_graph(mem_arm, images, 4)[1]
+        b = elbo_graph(abl_arm, images, 4)[1]
         assert a.elbo == b.elbo  # aligned rng streams + shared init
         assert b.kl_y == 0.0
 
@@ -319,7 +318,7 @@ class TestArms:
         model = MemoryVAE(conv_cfg(ablation=True), seed=9)
         randomize(model, rng, scale=0.1)
         images = (rng.random((2, 1, 8, 8)) < 0.5).astype(np.float64)
-        br = elbo(images, model, rng_seed=0)
+        br = elbo_graph(model, images, 0)[1]
         assert br.kl_y == 0.0
         assert br.kl_z > 0.0
 

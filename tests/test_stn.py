@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kpp import autodiff as ad
-from kpp.stn import grid_from_keys, read_traces, sample_traces
+from kpp.stn import grid_from_keys, sample_traces
 
 from conftest import rel_err
 
@@ -134,58 +134,61 @@ class TestBilinearSample:
 
 
 class TestReadTraces:
+    """Reads from one memory: a batch of 1 through sample_traces."""
+
     def test_identity_reproduces_memory(self, rng):
         mem = rng.random((3, 8, 8))
-        ts = read_traces(ad.constant(mem),
-                         ad.constant(np.array([[1.0, 0.0, 0.0]])), (8, 8))
-        assert ts.shape == (1, 3, 8, 8)
-        assert np.max(np.abs(ts[0].data - mem)) <= 1e-12
+        ts = sample_traces(ad.constant(mem[None]),
+                           ad.constant(np.array([[[1.0, 0.0, 0.0]]])), (8, 8))
+        assert ts.shape == (1, 1, 3, 8, 8)
+        assert np.max(np.abs(ts.data[0, 0] - mem)) <= 1e-12
 
     def test_appendix_window_against_bruteforce(self, rng):
         mem = rng.random((3, 16, 16))
         key = np.array([0.5, 0.3, 0.5])
-        ts = read_traces(ad.constant(mem), ad.constant(key[None, :]), (8, 8))
+        ts = sample_traces(ad.constant(mem[None]), ad.constant(key[None, None]), (8, 8))
         ref = reference_crop(mem, key, 8, 8)
-        assert np.max(np.abs(ts[0].data - ref)) <= 1e-10
+        assert np.max(np.abs(ts.data[0, 0] - ref)) <= 1e-10
 
     def test_identical_keys_identical_traces(self, rng):
         mem = rng.random((2, 10, 10))
-        keys = ad.constant(np.array([[0.4, -0.2, 0.1], [0.4, -0.2, 0.1]]))
-        ts = read_traces(ad.constant(mem), keys, (5, 5))
-        assert np.array_equal(ts[0].data, ts[1].data)
+        keys = ad.constant(np.array([[[0.4, -0.2, 0.1], [0.4, -0.2, 0.1]]]))
+        ts = sample_traces(ad.constant(mem[None]), keys, (5, 5))
+        assert np.array_equal(ts.data[0, 0], ts.data[0, 1])
 
     def test_zero_keys_rejected(self, rng):
-        mem = ad.constant(rng.random((1, 8, 8)))
+        mem = ad.constant(rng.random((1, 1, 8, 8)))
         with pytest.raises(ValueError):
-            read_traces(mem, [], (4, 4))
+            sample_traces(mem, [], (4, 4))
         with pytest.raises(ValueError):
-            read_traces(mem, ad.constant(np.zeros((0, 3))), (4, 4))
+            sample_traces(mem, ad.constant(np.zeros((1, 0, 3))), (4, 4))
 
     def test_unread_cells_get_exact_zero_gradient(self, rng):
-        mem = ad.parameter(rng.random((1, 16, 16)))
+        mem = ad.parameter(rng.random((1, 1, 16, 16)))
         key = np.array([0.5, 0.0, 0.0])
-        ts = read_traces(mem, ad.constant(key[None, :]), (8, 8))
+        ts = sample_traces(mem, ad.constant(key[None, None]), (8, 8))
         ad.backward(ad.sum_(ts))
+        grad = mem.grad[0]
         allowed = contributing_cells((1, 16, 16), key, 8, 8)
         for yy in range(16):
             for xx in range(16):
                 if (yy, xx) not in allowed:
-                    assert mem.grad[0, yy, xx] == 0.0, (yy, xx)
+                    assert grad[0, yy, xx] == 0.0, (yy, xx)
         # and the read region did receive gradient
-        assert sum(mem.grad[0, yy, xx] != 0.0 for yy, xx in allowed) > 0
+        assert sum(grad[0, yy, xx] != 0.0 for yy, xx in allowed) > 0
 
     def test_gradient_support_random_keys(self, rng):
         for _ in range(5):
-            mem = ad.parameter(rng.random((2, 12, 14)))
+            mem = ad.parameter(rng.random((1, 2, 12, 14)))
             key = np.tanh(rng.normal(size=3))
-            ts = read_traces(mem, ad.constant(key[None, :]), (5, 7))
+            ts = sample_traces(mem, ad.constant(key[None, None]), (5, 7))
             ad.backward(ad.sum_(ts))
             allowed = contributing_cells((2, 12, 14), key, 5, 7)
             outside = [(yy, xx)
                        for yy in range(12) for xx in range(14)
                        if (yy, xx) not in allowed]
             for yy, xx in outside:
-                assert np.all(mem.grad[:, yy, xx] == 0.0)
+                assert np.all(mem.grad[0, :, yy, xx] == 0.0)
 
 
 class TestKeyGradients:
@@ -204,14 +207,14 @@ class TestKeyGradients:
             frac = np.concatenate([(px % 1).ravel(), (py % 1).ravel()])
             if np.min(np.abs(frac - np.round(frac))) < 1e-3:
                 continue
-            kt = ad.parameter(key[None, :])
-            ts = read_traces(ad.constant(mem), kt, (6, 7))
-            loss = ad.sum_(ad.mul(ad.slice_(ts, 0), ad.constant(proj)))
+            kt = ad.parameter(key[None, None])
+            ts = sample_traces(ad.constant(mem[None]), kt, (6, 7))
+            loss = ad.sum_(ad.mul(ad.slice_(ts, (0, 0)), ad.constant(proj)))
             ad.backward(loss)
 
             def scalar(kv):
-                t = read_traces(ad.constant(mem), ad.constant(kv), (6, 7))
-                return float((t[0].data * proj[0]).sum())
+                t = sample_traces(ad.constant(mem[None]), ad.constant(kv), (6, 7))
+                return float((t.data[0, 0] * proj[0]).sum())
 
             g_fd = np.zeros(3)
             h = 1e-5
@@ -219,22 +222,22 @@ class TestKeyGradients:
                 kp, km = key.copy(), key.copy()
                 kp[i] += h
                 km[i] -= h
-                g_fd[i] = (scalar(kp[None, :]) - scalar(km[None, :])) / (2 * h)
-            assert rel_err(kt.grad[0], g_fd) <= 1e-4
+                g_fd[i] = (scalar(kp[None, None]) - scalar(km[None, None])) / (2 * h)
+            assert rel_err(kt.grad[0, 0], g_fd) <= 1e-4
             checked += 1
         assert checked == 30
 
     def test_continuity_at_pixel_boundaries(self, rng):
         # identity key puts every grid point exactly on an integer pixel;
         # nudging across that boundary must not jump the output
-        mem = rng.random((1, 8, 8))
-        base = float(ad.sum_(read_traces(
+        mem = rng.random((1, 1, 8, 8))
+        base = float(ad.sum_(sample_traces(
             ad.constant(mem),
-            ad.constant(np.array([[1.0, 0.0, 0.0]])), (8, 8))).data)
+            ad.constant(np.array([[[1.0, 0.0, 0.0]]])), (8, 8))).data)
         for delta in (1e-9, -1e-9):
-            moved = float(ad.sum_(read_traces(
+            moved = float(ad.sum_(sample_traces(
                 ad.constant(mem),
-                ad.constant(np.array([[1.0, delta, 0.0]])), (8, 8))).data)
+                ad.constant(np.array([[[1.0, delta, 0.0]]])), (8, 8))).data)
             assert abs(moved - base) <= 1e-6
 
 

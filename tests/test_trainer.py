@@ -237,6 +237,12 @@ class TestTrain:
             got = list(csv.reader(f))
         assert got[0] == METRICS_HEADER and len(got) == 1 + 2 * cfg.epochs
 
+    def test_creates_missing_out_dir(self, tmp_path):
+        train_set, test_set = small_data()
+        out = tmp_path / "runs" / "lib"
+        train(small_train_cfg(epochs=1), train_set, test_set, out_dir=str(out))
+        assert sorted(p.name for p in out.iterdir()) == ["best.bin", "final.bin", "metrics.csv"]
+
     def test_bitwise_determinism(self):
         train_set, test_set = small_data()
         m1, h1 = train(small_train_cfg(), train_set, test_set)
