@@ -1,10 +1,19 @@
-"""Define-by-run reverse-mode differentiation over dense float64 tensors.
+"""Define-by-run reverse-mode differentiation over dense float tensors.
 
 A Tensor wraps a NumPy array plus an optional gradient and the backward rule
 that produced it.  Graphs are built implicitly by calling the op functions
 below; ``backward(loss)`` walks the graph once in reverse topological order.
 Every forward op validates that its output is finite: NaN/Inf anywhere is a
 hard error, not a warning.
+
+A tensor keeps the float dtype of its data (anything else becomes float64),
+and each op computes in the dtype of its operands, so a float32 model runs
+in float32 and a float64 one in float64 through the same code.  A plain
+number or array handed to a binary op takes the dtype of the tensor it
+meets, as NumPy treats a Python number.  The one exception is a full
+``mean_``: it accumulates in float64, so the scalar loss terms built from
+such means, and their sums, are float64.  Gradients take the dtype of the
+tensor they belong to.
 """
 
 import numpy as np
@@ -20,8 +29,8 @@ class GraphError(RuntimeError):
 
 
 def _as_array(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
+    arr = np.asarray(values)
+    return arr if arr.dtype.kind == "f" else arr.astype(np.float64)
 
 
 class Tensor:
@@ -64,8 +73,14 @@ def parameter(values, name=None):
     return tensor(values, requires_grad=True, name=name)
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _wrap(x, like=None):
+    """x as a Tensor; a plain number or array takes the dtype of the tensor
+    it meets."""
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(like, Tensor):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)
 
 
 def make_node(op_name, data, parents, backward_fn):
@@ -108,7 +123,7 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     out = a.data + b.data
 
     def bwd(gy):
@@ -119,7 +134,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     out = a.data - b.data
 
     def bwd(gy):
@@ -130,7 +145,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     out = a.data * b.data
 
     def bwd(gy):
@@ -150,7 +165,7 @@ def neg(x):
 
 
 def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -270,7 +285,7 @@ def slice_(x, idx):
         # one bin per entry of x, so an entry that idx picks twice gets both
         pos = np.arange(x.data.size).reshape(x.shape)[idx]
         g = np.bincount(pos.ravel(), weights=gy.ravel(), minlength=x.data.size)
-        accumulate(x, g.reshape(x.shape))
+        accumulate(x, g.reshape(x.shape).astype(x.data.dtype, copy=False))
 
     return make_node("slice", out, (x,), bwd)
 
@@ -289,15 +304,17 @@ def sum_(x, axis=None, keepdims=False):
 
 
 def mean_(x, axis=None, keepdims=False):
+    """Mean over axis; the mean of every entry accumulates in float64."""
     x = _wrap(x)
-    out = x.data.mean(axis=axis, keepdims=keepdims)
+    out = x.data.mean(axis=axis, keepdims=keepdims, dtype=np.float64 if axis is None else None)
     denom = x.data.size / max(out.size, 1)
 
     def bwd(gy):
         g = gy / denom
         if not keepdims and axis is not None:
             g = np.expand_dims(g, axis)
-        accumulate(x, np.broadcast_to(g, x.shape).copy() if np.ndim(g) else np.full(x.shape, g))
+        accumulate(x, np.broadcast_to(g, x.shape).astype(x.data.dtype) if np.ndim(g)
+                   else np.full(x.shape, g, dtype=x.data.dtype))
 
     return make_node("mean", out, (x,), bwd)
 
@@ -437,4 +454,4 @@ def zero_grad(tensors):
 
 def clamp(x, lo, hi):
     """Differentiable clamp composed of relu ops (unit gradient inside range)."""
-    return sub(add(x, relu(sub(constant(lo), x))), relu(sub(x, constant(hi))))
+    return sub(add(x, relu(sub(lo, x))), relu(sub(x, hi)))

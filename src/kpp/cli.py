@@ -111,13 +111,14 @@ def _load_corpus(spec, binarize_mode="threshold"):
 
 
 def _write_manifest(out_dir, argv, snapshot, seed):
+    """The command line, the version and every resolved option; ``out`` is
+    the directory the run writes, whether or not --out named it."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         f.write(f"command = kpp {' '.join(argv)}\n")
         f.write(f"version = {__version__}\n")
         f.write(f"seed = {seed}\n")
-        f.write(f"out = {out_dir}\n")
-        for key, val in snapshot.items():
+        for key, val in dict(snapshot, out=out_dir).items():
             f.write(f"{key} = {val}\n")
 
 
@@ -160,9 +161,7 @@ def _train_config(opt, train_set):
 def cmd_train(args, argv):
     opt = _Options(args, TRAIN_DEFAULTS)
     out_dir = opt.get("out") or os.path.join("runs", "train")
-    snapshot = opt.snapshot()
-    snapshot["out"] = out_dir
-    _write_manifest(out_dir, argv, snapshot, opt.get("seed"))
+    _write_manifest(out_dir, argv, opt.snapshot(), opt.get("seed"))
     train_set, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
     config = _train_config(opt, train_set)
     _, history = trainer_mod.train(

@@ -3,7 +3,8 @@
 Every stochastic node in the model is either a diagonal Gaussian
 (posteriors, readout prior, key prior) or a pixelwise Bernoulli
 (binary image likelihood).  All functions build autodiff graphs, so
-gradients flow into means, log-stds and logits.
+gradients flow into means, log-stds and logits.  Constants are plain
+numbers, which take the dtype of the tensors they meet.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ class DiagGaussian:
 
 def standard_normal_like(d: DiagGaussian) -> DiagGaussian:
     """N(0, 1) with the same shape as d."""
-    zero = ad.constant(np.zeros(d.shape))
+    zero = ad.constant(np.zeros(d.shape, dtype=d.mean.data.dtype))
     return DiagGaussian(mean=zero, log_std=zero)
 
 
@@ -65,12 +66,12 @@ def kl_diag_gaussians(q: DiagGaussian, p: DiagGaussian) -> Tensor:
     if q.shape != p.shape:
         raise ValueError(f"KL shape mismatch: q {q.shape} vs p {p.shape}")
     log_ratio = ad.sub(p.log_std, q.log_std)
-    var_q = ad.exp(ad.mul(q.log_std, ad.constant(2.0)))
-    inv_var_p = ad.exp(ad.mul(p.log_std, ad.constant(-2.0)))
+    var_q = ad.exp(ad.mul(q.log_std, 2.0))
+    inv_var_p = ad.exp(ad.mul(p.log_std, -2.0))
     delta = ad.sub(q.mean, p.mean)
     quad = ad.mul(ad.add(var_q, ad.mul(delta, delta)), inv_var_p)
-    per_dim = ad.add(log_ratio, ad.mul(quad, ad.constant(0.5)))
-    per_dim = ad.sub(per_dim, ad.constant(0.5))
+    per_dim = ad.add(log_ratio, ad.mul(quad, 0.5))
+    per_dim = ad.sub(per_dim, 0.5)
     return _sum_trailing(per_dim)
 
 
@@ -105,10 +106,7 @@ def gaussian_log_prob(d: DiagGaussian, target: Tensor) -> Tensor:
     if not np.all(np.isfinite(d.log_std.data)):
         raise ValueError("gaussian log_std must be finite (sigma > 0)")
     delta = ad.sub(target, d.mean)
-    inv_var = ad.exp(ad.mul(d.log_std, ad.constant(-2.0)))
+    inv_var = ad.exp(ad.mul(d.log_std, -2.0))
     quad = ad.mul(ad.mul(delta, delta), inv_var)
-    per_pixel = ad.mul(
-        ad.add(ad.add(ad.constant(_LOG_2PI), ad.mul(d.log_std, ad.constant(2.0))), quad),
-        ad.constant(-0.5),
-    )
+    per_pixel = ad.mul(ad.add(ad.add(_LOG_2PI, ad.mul(d.log_std, 2.0)), quad), -0.5)
     return _sum_trailing(per_pixel)

@@ -9,9 +9,12 @@ product per kernel tap added into its strided window.  The three bilinear
 kernels share one 2x2 corner table (``_taps``): the forward pass gathers
 and weights one corner at a time, the grid gradient gathers all four with
 one ``np.take``, and the image gradient scatters through it with one
-``np.bincount`` per channel.  Conventions: float64, zero padding, and the
+``np.bincount`` per channel.  Conventions: zero padding, and the
 "corners map to +/-1" grid convention where a normalized coordinate c maps
 to pixel (c + 1) / 2 * (size - 1).
+
+Every kernel returns the dtype of its array operands (float32 in, float32
+out; float64 in, float64 out), and its temporaries take that dtype too.
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ def _padded(x, pad):
     if not pad:
         return x
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad:pad + h, pad:pad + w] = x
     return xp
 
@@ -59,7 +62,7 @@ def conv2d_input_grad(gy, w, stride, pad, h, wid):
     # buffer costs more in fresh pages than the saved BLAS calls.
     wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))      # (kh,kw,Ci,Co)
     g = gy.reshape(n, co, ho * wo)
-    gxp = np.zeros((n, ci, h + 2 * pad, wid + 2 * pad), dtype=np.float64)
+    gxp = np.zeros((n, ci, h + 2 * pad, wid + 2 * pad), dtype=np.result_type(gy, w))
     for u in range(kh):
         for v in range(kw):
             tap = np.matmul(wt[u, v], g).reshape(n, ci, ho, wo)
@@ -138,7 +141,7 @@ def bilinear_image_grad(gy, grid, h, w):
     # corners in front, so each bin sums in the same order for every channel.
     bins = idx.ravel()
     weight = wy[:, None] * wx                                    # (2,2,B,G,h,w)
-    gimg = np.empty((b, c, h, w))
+    gimg = np.empty((b, c, h, w), dtype=np.result_type(gy, grid))
     for ch in range(c):
         gimg[:, ch] = np.bincount(bins, (weight * gy[:, :, ch]).ravel(),
                                   minlength=b * h * w).reshape(b, h, w)
@@ -153,7 +156,7 @@ def bilinear_grid_grad(gy, images, grid):
     # gy against the value at each corner, then d weight / d pixel coordinate
     # (the slope: -1 for the near tap, +1 for the far one, 0 off the canvas).
     dot = np.einsum("bgcij,cyxbgij->yxbgij", gy, vals)
-    sign = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1, 1)
+    sign = np.array([-1.0, 1.0], dtype=grid.dtype).reshape(2, 1, 1, 1, 1)
     dpx = (dot * (wy[:, None] * (sign * on_x))).sum(axis=(0, 1))
     dpy = (dot * ((sign * on_y)[:, None] * wx)).sum(axis=(0, 1))
     return np.stack([dpx * 0.5 * (w - 1), dpy * 0.5 * (h - 1)], axis=-1)

@@ -9,6 +9,12 @@ in common, regardless of which other parameters exist.  Gaussian heads
 have zero-initialized final layers, which makes every posterior and
 prior exactly standard normal at initialization (both KL terms start
 at zero).
+
+Parameters are float32 (``PARAM_DTYPE``), and everything a model computes
+takes its parameters' dtype: images and other constant inputs are cast to
+it on the way in.  A model whose parameters are set to float64 computes in
+float64 through the same code.  Checkpoints hold float64 on disk, which
+stores float32 values exactly.
 """
 
 import json
@@ -21,6 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .distributions import DiagGaussian
 
+PARAM_DTYPE = np.float32
 CHECKPOINT_MAGIC = b"KPP1"
 CONFIG_KEY = "__config__"
 TSM_FOLD_DIV = 8  # shift fraction 0.125 per direction
@@ -125,7 +132,7 @@ def tsm_shift(features: Tensor, t=None) -> Tensor:
     src = np.repeat(rows[:, None], c, axis=1)
     src[:, :fold] = np.where(step > 0, rows - 1, 0)[:, None]
     src[:, fold:2 * fold] = np.where(step < t - 1, rows + 1, 0)[:, None]
-    zeros = ad.constant(np.zeros((1,) + features.shape[1:]))
+    zeros = ad.constant(np.zeros((1,) + features.shape[1:], dtype=features.data.dtype))
     return ad.concat([zeros, features], axis=0)[src, np.arange(c)]
 
 
@@ -147,17 +154,31 @@ def _conv_out(side, n_layers):
 class MemoryVAE:
     """All learned networks of the latent-memory model."""
 
-    def __init__(self, config: ModelConfig, seed: int):
+    def __init__(self, config: ModelConfig, seed: int, arrays=None):
+        """Parameters drawn from seed, or taken from arrays (name -> array)
+        when given; either way cast to PARAM_DTYPE."""
         self.config = config
         self.seed = int(seed)
         self.params = {}
         for name, shape, kind in self._build_spec(config):
             if self._owned(name):
-                self.params[name] = ad.parameter(
-                    self._init_value(name, shape, kind), name=name
-                )
+                value = (self._init_value(name, shape, kind) if arrays is None
+                         else _checked_array(arrays, name, shape))
+                self.params[name] = ad.parameter(value.astype(PARAM_DTYPE), name=name)
 
     # -- parameter bookkeeping -------------------------------------------
+
+    @property
+    def dtype(self):
+        """The dtype the model computes in: that of its parameters."""
+        return next(iter(self.params.values())).data.dtype
+
+    def _input(self, x):
+        """x as a Tensor of the model's dtype.  A Tensor that needs a
+        gradient is used as it is."""
+        if isinstance(x, Tensor) and (x.requires_grad or x.data.dtype == self.dtype):
+            return x
+        return ad.tensor(np.asarray(x.data if isinstance(x, Tensor) else x, dtype=self.dtype))
 
     def _owned(self, name):
         head = name.split(".")[0]
@@ -294,7 +315,7 @@ class MemoryVAE:
     def encode(self, images, t=None) -> Tensor:
         """Per-sample embeddings (B*T, embed_dim) of B episodes of t images
         stacked (B*T, C, H, W); all rows form one episode when t is None."""
-        x = ad.tensor(images) if not isinstance(images, Tensor) else images
+        x = self._input(images)
         if x.shape[1:] != self.config.image_shape:
             raise ValueError(
                 f"episode images {x.shape[1:]} do not match configured "
@@ -350,7 +371,7 @@ class MemoryVAE:
 
     def readout_prior(self, traces) -> DiagGaussian:
         """Latent prior from (T, K, C, h, w) read traces, stacked along channels."""
-        x = ad.tensor(traces) if not isinstance(traces, Tensor) else traces
+        x = self._input(traces)
         if len(x.shape) != 5:
             raise ValueError(f"readout_prior expects (T,K,C,h,w) traces, got {x.shape}")
         t, k = x.shape[0], x.shape[1]
@@ -374,7 +395,7 @@ class MemoryVAE:
 
     def decode(self, z: Tensor) -> Tensor:
         """Map latents (N, L) to image-shaped Bernoulli logits or Gaussian means."""
-        z = ad.tensor(z) if not isinstance(z, Tensor) else z
+        z = self._input(z)
         if len(z.shape) == 1:
             z = ad.reshape(z, (1, z.shape[0]))
         if z.shape[1] != self.config.L:
@@ -417,23 +438,25 @@ class MemoryVAE:
 
     @classmethod
     def load(cls, path):
+        """The model a checkpoint holds, with PARAM_DTYPE parameters."""
         arrays, config_dict = load_checkpoint(path)
         if config_dict is None:
             raise ValueError(f"checkpoint {path} carries no model config")
-        model = cls(ModelConfig.from_dict(config_dict), seed=0)
-        model.load_arrays(arrays)
-        return model
+        return cls(ModelConfig.from_dict(config_dict), seed=0, arrays=arrays)
 
     def load_arrays(self, arrays):
+        """Overwrite every parameter from arrays, kept in the model's dtype."""
         for name, param in self.params.items():
-            if name not in arrays:
-                raise KeyError(f"checkpoint missing parameter {name!r}")
-            arr = arrays[name]
-            if arr.shape != param.data.shape:
-                raise ValueError(
-                    f"parameter {name!r} shape {arr.shape} != expected {param.data.shape}"
-                )
-            param.data = arr.astype(np.float64).copy()
+            param.data = _checked_array(arrays, name, param.data.shape).astype(param.data.dtype)
+
+
+def _checked_array(arrays, name, shape):
+    if name not in arrays:
+        raise KeyError(f"checkpoint missing parameter {name!r}")
+    arr = arrays[name]
+    if arr.shape != tuple(shape):
+        raise ValueError(f"parameter {name!r} shape {arr.shape} != expected {tuple(shape)}")
+    return arr
 
 
 def save_checkpoint(path, arrays, config_dict=None):
@@ -445,13 +468,13 @@ def save_checkpoint(path, arrays, config_dict=None):
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         for name in sorted(entries):
-            arr = np.asarray(entries[name], dtype=np.float64)
+            arr = np.asarray(entries[name], dtype="<f8")
             nb = name.encode()
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
             f.write(struct.pack("<I", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype("<f8").tobytes())
+            f.write(arr.tobytes())
 
 
 def load_checkpoint(path):

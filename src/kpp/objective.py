@@ -10,6 +10,10 @@ decode, and assemble
 averaged over the episodes, with a single reparameterized draw for both
 keys and latents.  The no-memory ablation replaces the trace prior by a
 head on each episode's pooled embedding and drops the key term.
+
+Images, noise and keys take the model's dtype.  The three terms are means
+formed in float64 (see ``autodiff.mean_``), so ``loss == -elbo`` holds
+exactly whatever the model's dtype.
 """
 
 from dataclasses import dataclass, field
@@ -65,14 +69,14 @@ class _Stage:
         return False
 
 
-def _episode_stack(episodes):
-    """Images (B, T, C, H, W) of one episode (an Episode or a (T,C,H,W)
-    array) or of a sequence of B equal-length episodes."""
+def _episode_stack(episodes, dtype):
+    """Images (B, T, C, H, W) in dtype of one episode (an Episode or a
+    (T,C,H,W) array) or of a sequence of B equal-length episodes."""
     if isinstance(episodes, Episode):
-        return episodes.images[None]
-    if isinstance(episodes, (list, tuple)) and episodes and isinstance(episodes[0], Episode):
+        episodes = episodes.images[None]
+    elif isinstance(episodes, (list, tuple)) and episodes and isinstance(episodes[0], Episode):
         episodes = [ep.images for ep in episodes]
-    images = np.asarray(episodes, dtype=np.float64)
+    images = np.asarray(episodes, dtype=dtype)
     if images.ndim == 4:
         images = images[None]
     if images.ndim != 5 or 0 in images.shape[:2]:
@@ -87,7 +91,7 @@ def _recon_term(model, logits, target):
     if model.config.likelihood == "bernoulli":
         return bernoulli_log_prob(flat_out, flat_x)
     sigma = model.config.gaussian_std
-    log_std = ad.constant(np.full(flat_out.shape, np.log(sigma)))
+    log_std = ad.constant(np.full(flat_out.shape, np.log(sigma), dtype=flat_out.data.dtype))
     return gaussian_log_prob(DiagGaussian(mean=flat_out, log_std=log_std), flat_x)
 
 
@@ -118,12 +122,12 @@ def elbo_graph(model: MemoryVAE, episodes, rng):
     drawn episode by episode, keys before latents, so a batch draws what
     the same episodes draw one at a time.
     """
-    images = _episode_stack(episodes)
+    images = _episode_stack(episodes, model.dtype)
     rng = _rng(rng)
     b, t = images.shape[:2]
     cfg = model.config
-    eps_y = np.empty((b, t, cfg.K, 3))
-    eps_z = np.empty((b, t, cfg.L))
+    eps_y = np.empty((b, t, cfg.K, 3), dtype=model.dtype)
+    eps_z = np.empty((b, t, cfg.L), dtype=model.dtype)
     for i in range(b):
         # the no-memory arm draws the keys too, then leaves them unused
         eps_y[i] = rng.standard_normal((t, cfg.K, 3))
@@ -197,7 +201,7 @@ def generate(memory: Tensor, n: int, model: MemoryVAE, rng_seed) -> np.ndarray:
 
 
 def _generate_from_raw_keys(memory, raw_keys, model):
-    keys = ad.tanh(ad.constant(raw_keys))
+    keys = ad.tanh(ad.constant(np.asarray(raw_keys, dtype=model.dtype)))
     traces = read_memory(model, memory, keys)
     zp = model.readout_prior(traces)
     out = _decode_output(model, zp.mean)
@@ -209,7 +213,7 @@ def perturbed_generate(memory: Tensor, base_keys, eps_std: float, n: int,
     """Generations from base_keys plus Gaussian key perturbations."""
     if eps_std <= 0:
         raise ValueError(f"eps_std must be > 0, got {eps_std}")
-    base = np.asarray(base_keys, dtype=np.float64)
+    base = np.asarray(base_keys)
     if base.shape != (model.config.K, 3):
         raise ValueError(f"base_keys must be (K, 3), got {base.shape}")
     rng = _rng(rng_seed)
@@ -223,7 +227,7 @@ def iterative_read(memory: Tensor, x_init, steps: int, model: MemoryVAE,
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     rng = _rng(rng_seed)
-    x_hat = np.asarray(x_init, dtype=np.float64)
+    x_hat = np.asarray(x_init)
     if x_hat.shape != model.config.image_shape:
         raise ValueError(
             f"x_init shape {x_hat.shape} does not match image shape "
@@ -233,7 +237,7 @@ def iterative_read(memory: Tensor, x_init, steps: int, model: MemoryVAE,
     for _ in range(steps):
         emb = model.encode(ad.constant(x_hat[None]))
         kq = model.key_posterior(emb)
-        eps_y = ad.constant(rng.standard_normal((1, model.config.K, 3)))
+        eps_y = ad.constant(rng.standard_normal((1, model.config.K, 3)).astype(model.dtype))
         y_sq = ad.tanh(reparam_sample(kq, eps_y))
         traces = read_memory(model, memory, y_sq)
         zp = model.readout_prior(traces)
@@ -250,7 +254,7 @@ def denoise(memory: Tensor, x_clean, noise_kind: str, steps: int,
     Returns (noisy, trajectory, errors) where errors[0] is the
     noisy-vs-clean distance and errors[i] the step-i reconstruction error.
     """
-    x_clean = np.asarray(x_clean, dtype=np.float64)
+    x_clean = np.asarray(x_clean)
     rng = _rng(rng_seed)
     noise_seed = int(rng.integers(0, 2**31 - 1))
     noisy = data_mod.inject_noise(

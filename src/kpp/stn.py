@@ -32,8 +32,7 @@ def grid_from_keys(keys: Tensor, out_h: int, out_w: int) -> Tensor:
     b, k = keys.shape[0], keys.shape[1]
     scale = ad.reshape(keys[..., 0:1], (b, k, 1, 1, 1))
     shift = ad.reshape(keys[..., 1:3], (b, k, 1, 1, 2))
-    target = ad.constant(_target_coords(out_h, out_w))
-    return ad.add(ad.mul(scale, target), shift)
+    return ad.add(ad.mul(scale, _target_coords(out_h, out_w)), shift)
 
 
 def sample_traces(memory: Tensor, keys: Tensor, out_size) -> Tensor:

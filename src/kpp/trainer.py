@@ -93,11 +93,11 @@ def adam_step(params, grads, state, lr, weight_decay):
     for i, (p, g) in enumerate(zip(params, grads)):
         m = state["m"][i]
         v = state["v"][i]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        with np.errstate(invalid="ignore"):  # inf/inf is caught just below
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             if weight_decay and not (p.name or "").endswith(".b"):
                 update = update + weight_decay * p.data
@@ -108,14 +108,17 @@ def adam_step(params, grads, state, lr, weight_decay):
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:
-    """Linear warmup to lr, then cosine decay to 0 (or constant)."""
+    """Linear warmup to lr, then cosine decay to 0 (or constant).
+
+    A Python float in every phase: a NumPy float64 would turn every float32
+    parameter that Adam updates into float64."""
     if epoch < config.warmup_epochs:
         return config.lr * (epoch + 1) / config.warmup_epochs
     if config.schedule == "constant":
         return config.lr
     span = max(1, config.epochs - 1 - config.warmup_epochs)
     t = (epoch - config.warmup_epochs) / span
-    return config.lr * 0.5 * (1.0 + np.cos(np.pi * min(t, 1.0)))
+    return float(config.lr * 0.5 * (1.0 + np.cos(np.pi * min(t, 1.0))))
 
 
 def _constants(model: MemoryVAE) -> MemoryVAE:
@@ -159,7 +162,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
     Writes best.bin (by test elbo), final.bin and metrics.csv under
     out_dir when given.  Aborts with DivergenceError if the train elbo
-    sits 10x below its initial value for three consecutive epochs.
+    sits 10x below its initial value for three consecutive epochs, or as
+    soon as a training step's forward pass or update is non-finite.
     """
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -184,11 +188,17 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
         n_acc = 0
         for _ in range(steps_per_epoch):
             episodes = sampler.sample_batch(config.batch_episodes)
-            loss, bd = elbo_graph(model, episodes, noise_rng)
+            # an overflow shows as a non-finite value: the forward pass and
+            # adam_step raise on those
+            with np.errstate(over="ignore"):
+                try:
+                    loss, bd = elbo_graph(model, episodes, noise_rng)
+                except ad.NonFiniteError as exc:
+                    raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
+                ad.zero_grad(params)
+                ad.backward(loss)
             acc += len(episodes) * np.array((bd.recon_ll, bd.kl_z, bd.kl_y))
             n_acc += len(episodes)
-            ad.zero_grad(params)
-            ad.backward(loss)
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
                      for p in params]
             adam_step(params, grads, state, lr, config.weight_decay)

@@ -6,6 +6,17 @@ import pytest
 from kpp import autodiff as ad
 
 
+def float64(model):
+    """Upcast a model's parameters to float64, in place, and return it.
+
+    A model computes in its parameters' dtype, so the checks whose
+    tolerance lies below float32 resolution (finite differences, the STN
+    and hand-model oracles) run the same code in float64."""
+    for p in model.params.values():
+        p.data = p.data.astype(np.float64)
+    return model
+
+
 def rel_err(a, b, floor=1.0):
     """Relative error with an absolute floor for near-zero references."""
     a = np.asarray(a, dtype=np.float64)

@@ -26,7 +26,7 @@ from kpp.objective import denoise, elbo_graph
 from kpp.stn import sample_traces
 from kpp.trainer import TrainConfig, eval_conditional, train
 
-from conftest import check_op_gradient, rel_err
+from conftest import check_op_gradient, float64, rel_err
 from test_cli import FAST, mask_wall, read_csv
 from test_objective import HandOracle, conv_cfg, hand_cfg, randomize
 from test_stn import contributing_cells, reference_crop
@@ -136,7 +136,7 @@ def test_c1_gradient_correctness(capsys, rng):
 
     # end-to-end: parameter gradients of the full objective vs central
     # differences at 50 random coordinates of a small conv model
-    model = MemoryVAE(conv_cfg(), seed=16)
+    model = float64(MemoryVAE(conv_cfg(), seed=16))
     randomize(model, rng, scale=0.1)
     images = (rng.random((2, 1, 8, 8)) < 0.5).astype(np.float64)
     ep = Episode(images=images, dataset_ids=[0, 1])
@@ -292,7 +292,7 @@ def test_c3_elbo_identity_and_bound(capsys, rng):
 
     # 1-pixel hand model: the bound sits strictly below the evidence,
     # both sides from Gauss-Hermite quadrature at two resolutions
-    hand = MemoryVAE(hand_cfg(T=1), seed=5)
+    hand = float64(MemoryVAE(hand_cfg(T=1), seed=5))
     randomize(hand, np.random.default_rng(1234), scale=0.5)
     oracle = HandOracle(hand)
     x = np.array([1.0]).reshape(1, 1, 1, 1)

@@ -59,6 +59,25 @@ class TestTrain:
         assert "epochs = 1" in text
         assert f"out = {ckpt_dir}" in text
 
+    @pytest.mark.parametrize("command", ["train", "generate", "denoise", "ablate"])
+    @pytest.mark.parametrize("named", [False, True], ids=["default-out", "given-out"])
+    def test_manifest_has_one_out_line(self, ckpt_dir, tmp_path, monkeypatch, command, named):
+        """Every command's manifest names its run directory exactly once,
+        also when --out is left to its default."""
+        monkeypatch.chdir(tmp_path)
+        ckpt = ["--ckpt", str(ckpt_dir / "final.bin"), "--T", "2"]
+        argv = {"train": ["train", "--data", "synth", *FAST],
+                "generate": ["generate", *ckpt, "--n", "1"],
+                "denoise": ["denoise", *ckpt, "--n", "1", "--steps", "1"],
+                "ablate": ["ablate", "--data", "synth", "--values", "on", "--seeds", "1",
+                           *FAST]}[command]
+        out = "given" if named else os.path.join("runs", command)
+        if named:
+            argv += ["--out", out]
+        assert run(argv) == 0
+        lines = (tmp_path / out / "manifest.txt").read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("out =")] == [f"out = {out}"]
+
     def test_manifest_written_before_failure(self, tmp_path):
         out = tmp_path / "failing"
         rc = run(["train", "--data", str(tmp_path / "missing.idx"),

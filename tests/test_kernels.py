@@ -1,5 +1,7 @@
-"""Kernel checks: the NumPy kernels against a test-only oracle, and
-hand-checkable values."""
+"""Kernel checks: the NumPy kernels against a test-only oracle, their
+dtypes, and hand-checkable values."""
+
+import os
 
 import numpy as np
 import pytest
@@ -139,6 +141,60 @@ class TestOracle:
         grid[..., 1] = 0.3
         got = kernels.bilinear_image_grad(gy, grid, 5, 5)
         assert np.max(np.abs(got - ref.bilinear_image_grad(gy, grid, 5, 5))) <= 1e-12
+
+
+def _conv_cases():
+    """(kernel name, args) of every conv case TestOracle checks."""
+    rng = np.random.default_rng(7)
+    h, wid = 9, 11
+    for stride, pad in STRIDE_PAD:
+        for k in KERNEL_SIZES:
+            ho, wo = _out_size(h, k, stride, pad), _out_size(wid, k, stride, pad)
+            w = rng.normal(size=(5, 4, k, k))
+            yield "conv2d_forward", (rng.normal(size=(3, 4, h, wid)), w, stride, pad)
+            gy = rng.normal(size=(2, 5, ho, wo))
+            yield "conv2d_input_grad", (gy, w, stride, pad, h, wid)
+            yield "conv2d_kernel_grad", (gy, rng.normal(size=(2, 4, h, wid)), stride, pad, k, k)
+
+
+def _bilinear_cases():
+    """(kernel name, args) of every BILINEAR_CASES case, for each kernel."""
+    rng = np.random.default_rng(8)
+    for case in BILINEAR_CASES:
+        images, grid, gy = _bilinear_case(rng, case)
+        yield "bilinear_forward", (images, grid)
+        yield "bilinear_image_grad", (gy, grid) + images.shape[2:]
+        yield "bilinear_grid_grad", (gy, images, grid)
+
+
+KERNEL_CASES = list(_conv_cases()) + list(_bilinear_cases())
+
+
+class TestDtype:
+    """Each kernel computes in its operands' dtype, and in float32 stays
+    within 1e-5 of the float64 oracle, relative to the output's size."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_takes_input_dtype(self, dtype):
+        for name, args in KERNEL_CASES:
+            cast = [a.astype(dtype) if isinstance(a, np.ndarray) else a for a in args]
+            assert getattr(kernels, name)(*cast).dtype == dtype, name
+
+    def test_float32_close_to_float64_oracle(self):
+        for name, args in KERNEL_CASES:
+            narrow = [a.astype(np.float32) if isinstance(a, np.ndarray) else a for a in args]
+            wide = [a.astype(np.float64) if isinstance(a, np.ndarray) else a for a in narrow]
+            got = getattr(kernels, name)(*narrow)
+            expect = getattr(ref, name)(*wide)
+            assert np.max(np.abs(got - expect)) <= 1e-5 * np.max(np.abs(expect)), name
+
+    def test_benchmark_cases_stay_float64(self, monkeypatch):
+        """The benchmark's fixed cases call the kernels with float64."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        import kernel_cases
+        for name, args in kernel_cases.cases().items():
+            assert getattr(kernels, name)(*args).dtype == np.float64, name
 
 
 class TestSemantics:

@@ -15,7 +15,7 @@ from kpp.nets import (
 )
 from kpp.objective import elbo_graph
 
-from conftest import fd_grad, rel_err
+from conftest import fd_grad, float64, rel_err
 
 
 def tiny_dense_cfg(**kw):
@@ -40,7 +40,7 @@ def tiny_conv_cfg(**kw):
 
 def randomize(model, rng, scale=0.1):
     for p in model.params.values():
-        p.data = rng.normal(size=p.data.shape) * scale
+        p.data = (rng.normal(size=p.data.shape) * scale).astype(p.data.dtype)
 
 
 def n_params(model, prefix=""):
@@ -355,7 +355,7 @@ class TestDecode:
 
     def test_gradient_fd(self, rng):
         cfg = tiny_dense_cfg()
-        model = MemoryVAE(cfg, seed=11)
+        model = float64(MemoryVAE(cfg, seed=11))
         randomize(model, rng)
         z = rng.normal(size=(2, cfg.L))
         proj = rng.normal(size=(2,) + cfg.image_shape)
@@ -455,6 +455,47 @@ class TestCheckpoint:
         x = rng.random((2, 1, 8, 8))
         assert np.array_equal(again.encode(x).data, model.encode(x).data)
 
+    def test_load_makes_no_draws(self, tmp_path, rng, monkeypatch):
+        """load builds the model straight from the checkpoint arrays: no
+        initial values are drawn, and the parameters equal the saved ones."""
+        model = MemoryVAE(tiny_conv_cfg(), seed=15)
+        randomize(model, rng)
+        p = tmp_path / "model.bin"
+        model.save(p)
+        saved, _ = load_checkpoint(p)
+
+        def no_draws(*args):
+            raise AssertionError("load drew initial parameter values")
+
+        monkeypatch.setattr(MemoryVAE, "_init_value", no_draws)
+        again = MemoryVAE.load(p)
+        assert set(again.params) == set(saved)
+        for name, arr in saved.items():
+            assert again.params[name].data.dtype == np.float32
+            assert np.array_equal(again.params[name].data, arr)
+
+    def test_float64_checkpoint_loads_as_float32(self, tmp_path, rng):
+        """A checkpoint written the old way, float64 parameters and a config
+        with no dtype entry, loads as a float32 model."""
+        cfg = tiny_conv_cfg()
+        assert not any("dtype" in key for key in cfg.to_dict())
+        arrays = {name: rng.normal(size=p.data.shape)
+                  for name, p in MemoryVAE(cfg, seed=0).params.items()}
+        p = tmp_path / "old.bin"
+        save_checkpoint(p, arrays, cfg.to_dict())
+        model = MemoryVAE.load(p)
+        for name, arr in arrays.items():
+            assert model.params[name].data.dtype == np.float32
+            assert np.array_equal(model.params[name].data, arr.astype(np.float32))
+
+    def test_load_arrays_keeps_model_dtype(self, rng):
+        arrays = MemoryVAE(tiny_conv_cfg(), seed=1).state_arrays()
+        model = float64(MemoryVAE(tiny_conv_cfg(), seed=0))
+        model.load_arrays(arrays)
+        for name, arr in arrays.items():
+            assert model.params[name].data.dtype == np.float64
+            assert np.array_equal(model.params[name].data, arr)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -493,7 +534,7 @@ class TestCheckpoint:
 
 class TestEndToEndGradient:
     def test_twenty_parameters_against_fd(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(), seed=16)
+        model = float64(MemoryVAE(tiny_conv_cfg(), seed=16))
         randomize(model, rng)
         images = (rng.random((2, 1, 8, 8)) < 0.5).astype(np.float64)
         ep = Episode(images=images, dataset_ids=[0, 1])

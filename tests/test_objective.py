@@ -23,7 +23,7 @@ from kpp.objective import (
 )
 from kpp.stn import sample_traces
 
-from conftest import rel_err
+from conftest import float64, rel_err
 from test_stn import reference_crop
 
 
@@ -49,7 +49,7 @@ def conv_cfg(**kw):
 
 def randomize(model, rng, scale=0.5):
     for p in model.params.values():
-        p.data = rng.normal(size=p.data.shape) * scale
+        p.data = (rng.normal(size=p.data.shape) * scale).astype(p.data.dtype)
 
 
 def softplus_np(x):
@@ -190,7 +190,7 @@ class TestHandModelOracle:
     @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian"])
     def test_straight_line_numpy_match(self, likelihood, rng):
         cfg = hand_cfg(likelihood=likelihood, gaussian_std=0.7)
-        model = MemoryVAE(cfg, seed=3)
+        model = float64(MemoryVAE(cfg, seed=3))
         randomize(model, rng)
         if likelihood == "bernoulli":
             images = np.array([1.0, 0.0]).reshape(2, 1, 1, 1)
@@ -213,7 +213,7 @@ class TestHandModelOracle:
 
     def test_trace_path_matches_reference_crop(self, rng):
         # ties the in-graph trace extraction to the brute-force crop oracle
-        model = MemoryVAE(hand_cfg(T=3, K=2), seed=4)
+        model = float64(MemoryVAE(hand_cfg(T=3, K=2), seed=4))
         randomize(model, rng)
         memory = model.write_memory(model.encode(ad.constant(rng.random((3, 1, 1, 1)))))
         keys = np.tanh(rng.normal(size=(3, 2, 3)))
@@ -342,7 +342,7 @@ class TestEpisodeBatch:
     @pytest.mark.parametrize("ablation", [False, True])
     @pytest.mark.parametrize("t", [1, 3])
     def test_batch_is_mean_of_episodes(self, rng, ablation, t):
-        model = MemoryVAE(conv_cfg(T=t, K=2, ablation=ablation), seed=11)
+        model = float64(MemoryVAE(conv_cfg(T=t, K=2, ablation=ablation), seed=11))
         randomize(model, rng, scale=0.3)
         images = (rng.random((3, t, 1, 8, 8)) < 0.5).astype(np.float64)
         episodes = [Episode(images=im, dataset_ids=list(range(t))) for im in images]

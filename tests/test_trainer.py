@@ -27,7 +27,7 @@ from kpp.trainer import (
     write_metrics,
 )
 
-from conftest import rel_err
+from conftest import float64, rel_err
 from test_objective import conv_cfg
 
 
@@ -128,6 +128,19 @@ class TestSchedule:
         assert lr_at(cfg, int(mid)) == pytest.approx(
             1e-3 * 0.5 * (1 + np.cos(np.pi * (int(mid) - 10) / 19)))
 
+    def test_python_float_keeps_float32_parameters(self):
+        """lr_at gives a Python float in both phases, so an Adam step in the
+        cosine phase leaves float32 parameters float32."""
+        cfg = small_train_cfg(epochs=30, warmup_epochs=10)
+        assert type(lr_at(cfg, 3)) is float
+        lr = lr_at(cfg, 15)
+        assert type(lr) is float
+        p = ad.parameter(np.array([1.0, -2.0], dtype=np.float32), name="p.w")
+        state = init_adam_state([p])
+        adam_step([p], [np.array([0.5, 0.25], dtype=np.float32)], state, lr, 1e-3)
+        assert p.data.dtype == np.float32
+        assert state["m"][0].dtype == state["v"][0].dtype == np.float32
+
     def test_constant_after_warmup(self):
         cfg = small_train_cfg(epochs=8, warmup_epochs=2, schedule="constant", lr=2e-3)
         assert lr_at(cfg, 0) == pytest.approx(1e-3)
@@ -205,7 +218,7 @@ class TestEvalConditional:
     def test_chunks_match_per_episode_loop(self, rng):
         """Five episodes (the last chunk holds one; one image is left over)
         score as one graph per episode does, averaged."""
-        model = MemoryVAE(conv_cfg(T=3), seed=2)
+        model = float64(MemoryVAE(conv_cfg(T=3), seed=2))
         for p in model.params.values():
             p.data = rng.normal(size=p.data.shape) * 0.3
         test_set = synth_shapes(16, 8, 8, seed=101, split="test")
