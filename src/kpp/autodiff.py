@@ -391,13 +391,15 @@ def bilinear_sample(images, grid):
         )
     ic = np.ascontiguousarray(images.data)
     gc = np.ascontiguousarray(grid.data)
-    out = kernels.bilinear_forward(ic, gc)
-    h, w = images.shape[2], images.shape[3]
+    b, _, h, w = images.shape
+    # one corner table per read, dropped with bwd when no gradient is needed
+    taps = kernels.bilinear_taps(gc, b, h, w)
+    out = kernels.bilinear_forward(ic, gc, taps=taps)
 
     def bwd(gy):
         gy = np.ascontiguousarray(gy)
-        accumulate(images, kernels.bilinear_image_grad(gy, gc, h, w))
-        accumulate(grid, kernels.bilinear_grid_grad(gy, ic, gc))
+        accumulate(images, kernels.bilinear_image_grad(gy, gc, h, w, taps=taps))
+        accumulate(grid, kernels.bilinear_grid_grad(gy, ic, gc, taps=taps))
 
     return make_node("bilinear_sample", out, (images, grid), bwd)
 

@@ -110,14 +110,13 @@ def _load_corpus(spec, binarize_mode="threshold"):
     return train, test
 
 
-def _write_manifest(out_dir, argv, snapshot, seed):
+def _write_manifest(out_dir, argv, snapshot):
     """The command line, the version and every resolved option; ``out`` is
     the directory the run writes, whether or not --out named it."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         f.write(f"command = kpp {' '.join(argv)}\n")
         f.write(f"version = {__version__}\n")
-        f.write(f"seed = {seed}\n")
         for key, val in dict(snapshot, out=out_dir).items():
             f.write(f"{key} = {val}\n")
 
@@ -141,7 +140,7 @@ TRAIN_DEFAULTS = dict(
 )
 
 
-def _train_config(opt, train_set):
+def _train_config(opt, train_set, seed):
     model_cfg = ModelConfig(
         image_shape=train_set.image_shape,
         T=opt.get("T"), K=opt.get("K"), L=opt.get("L"),
@@ -154,16 +153,16 @@ def _train_config(opt, train_set):
         episodes_per_epoch=opt.get("episodes_per_epoch"),
         lr=opt.get("lr"), schedule=opt.get("schedule"),
         warmup_epochs=opt.get("warmup"), weight_decay=opt.get("weight_decay"),
-        seed=opt.get("seed"),
+        seed=seed,
     )
 
 
 def cmd_train(args, argv):
     opt = _Options(args, TRAIN_DEFAULTS)
     out_dir = opt.get("out") or os.path.join("runs", "train")
-    _write_manifest(out_dir, argv, opt.snapshot(), opt.get("seed"))
+    _write_manifest(out_dir, argv, opt.snapshot())
     train_set, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
-    config = _train_config(opt, train_set)
+    config = _train_config(opt, train_set, opt.get("seed"))
     _, history = trainer_mod.train(
         config, train_set, test_set, out_dir=out_dir,
         log=lambda msg: print(msg, flush=True),
@@ -197,7 +196,7 @@ def cmd_generate(args, argv):
     if perturb < 0:
         raise ValueError(f"--perturb must be >= 0, got {perturb}")
     out_dir = opt.get("out") or os.path.join("runs", "generate")
-    _write_manifest(out_dir, argv, opt.snapshot(), opt.get("seed"))
+    _write_manifest(out_dir, argv, opt.snapshot())
     model = MemoryVAE.load(ckpt)
     _, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
     memory, _ = _memory_from_test_episode(
@@ -244,7 +243,7 @@ def cmd_denoise(args, argv):
     if kind not in data_mod.NOISE_KINDS:
         raise ValueError(f"--noise must be one of {data_mod.NOISE_KINDS}, got {kind!r}")
     out_dir = opt.get("out") or os.path.join("runs", "denoise")
-    _write_manifest(out_dir, argv, opt.snapshot(), opt.get("seed"))
+    _write_manifest(out_dir, argv, opt.snapshot())
     model = MemoryVAE.load(ckpt)
     _, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
     t = opt.get("T")
@@ -280,11 +279,13 @@ def cmd_denoise(args, argv):
     return 0
 
 
-ABLATE_DEFAULTS = dict(TRAIN_DEFAULTS, axis="memory", values="on,off", seeds="1,2,3")
+# Each cell trains with one of --seeds, so ablate takes no --seed.
+ABLATE_DEFAULTS = dict({k: v for k, v in TRAIN_DEFAULTS.items() if k != "seed"},
+                       axis="memory", values="on,off", seeds="1,2,3")
 
 
 def _ablate_cell(opt, train_set, test_set, axis, value, seed):
-    config = _train_config(opt, train_set)
+    config = _train_config(opt, train_set, seed)
     if axis in ("T", "K"):
         model_cfg = replace(config.model, **{axis: int(value)})
     elif axis == "memory":
@@ -293,7 +294,7 @@ def _ablate_cell(opt, train_set, test_set, axis, value, seed):
         model_cfg = replace(config.model, ablation=value == "off")
     else:
         raise ValueError(f"unknown ablation axis {axis!r}")
-    config = replace(config, model=model_cfg, seed=seed)
+    config = replace(config, model=model_cfg)
     _, history = trainer_mod.train(config, train_set, test_set)
     final_test = [r for r in history if r.split == "test"][-1]
     return [axis, value, seed, f"{final_test.elbo:.10g}",
@@ -309,7 +310,7 @@ def cmd_ablate(args, argv):
     if not seeds:
         raise ValueError("--seeds list is empty")
     out_dir = opt.get("out") or os.path.join("runs", "ablate")
-    _write_manifest(out_dir, argv, opt.snapshot(), opt.get("seed"))
+    _write_manifest(out_dir, argv, opt.snapshot())
     train_set, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
     axis = opt.get("axis")
     rows = []
@@ -374,7 +375,8 @@ def build_parser():
         ("ablate", ABLATE_DEFAULTS, cmd_ablate),
         ("eval", EVAL_DEFAULTS, cmd_eval),
     ):
-        p = sub.add_parser(name)
+        # flags match exactly, so ablate's --seeds never takes a --seed
+        p = sub.add_parser(name, allow_abbrev=False)
         _add_common(p, defaults)
         p.set_defaults(fn=fn)
     return parser

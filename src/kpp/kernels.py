@@ -6,10 +6,10 @@ kernel gradient over an im2col matrix built from a ``sliding_window_view``
 of the padded input (one matrix per image for the forward pass, one for
 the whole batch for the kernel gradient), the input gradient as one
 product per kernel tap added into its strided window.  The three bilinear
-kernels share one 2x2 corner table (``_taps``): the forward pass gathers
-and weights one corner at a time, the grid gradient gathers all four with
-one ``np.take``, and the image gradient scatters through it with one
-``np.bincount`` per channel.  Conventions: zero padding, and the
+kernels share one 2x2 corner table (``bilinear_taps``), built once per read
+and passed to each as ``taps``: the forward pass and the grid gradient
+gather one corner at a time, and the image gradient scatters through it
+with one ``np.bincount`` per channel.  Conventions: zero padding, and the
 "corners map to +/-1" grid convention where a normalized coordinate c maps
 to pixel (c + 1) / 2 * (size - 1).
 
@@ -84,27 +84,31 @@ def conv2d_kernel_grad(gy, x, stride, pad, kh, kw):
     return np.matmul(g, cols.T).reshape(co, ci, kh, kw)
 
 
-def _taps(grid, b, h, w):
+def bilinear_taps(grid, b, h, w):
     """The 2x2 corner table of a bilinear read of B canvases of H x W at
-    grid (B,G,h,w,2).
+    grid (B,G,h,w,2), which all three bilinear kernels take as ``taps``.
 
     Returns flat indices (2, 2, B, G, h, w) into the B*H*W canvas, the y
     tap first, then per-axis weights and on-canvas masks (2, B, G, h, w)
     for y and for x.  An off-canvas corner is clipped onto the canvas and
-    has weight 0.  Updates run in place where they can: on the read shapes
-    much of a bilinear kernel's time is first-touch faults on fresh arrays.
+    has weight 0.  Each axis fills its (2, ...) arrays in place: on the
+    read shapes much of a bilinear kernel's time is first-touch faults on
+    fresh arrays.
     """
-    def axis(p, size):
-        p0 = np.floor(p)
-        frac = p - p0
-        i = p0.astype(np.intp) + np.arange(2).reshape(2, 1, 1, 1, 1)
+    def axis(c, size):
+        p = (c + 1.0) * (0.5 * (size - 1))
+        wt = np.empty((2,) + p.shape, dtype=p.dtype)
+        i = np.empty(wt.shape, dtype=np.intp)
+        i[0] = np.floor(p, out=wt[0])
+        np.add(i[0], 1, out=i[1])
+        np.subtract(p, wt[0], out=wt[1])
+        np.subtract(1, wt[1], out=wt[0])
         on = (i >= 0) & (i < size)
-        wt = np.stack([1 - frac, frac])
         wt *= on
         return np.clip(i, 0, size - 1, out=i), wt, on
 
-    iy, wy, on_y = axis((grid[..., 1] + 1.0) * 0.5 * (h - 1), h)
-    ix, wx, on_x = axis((grid[..., 0] + 1.0) * 0.5 * (w - 1), w)
+    iy, wy, on_y = axis(grid[..., 1], h)
+    ix, wx, on_x = axis(grid[..., 0], w)
     iy += np.arange(b).reshape(b, 1, 1, 1) * h
     iy *= w
     return iy[:, None] + ix, (wy, wx), (on_y, on_x)
@@ -116,13 +120,13 @@ def _canvas(images):
     return images.transpose(1, 0, 2, 3).reshape(c, b * h * w)
 
 
-def bilinear_forward(images, grid):
+def bilinear_forward(images, grid, taps=None):
     """Sample images (B,C,H,W) at grid (B,G,h,w,2) of normalized (x,y) coords.
 
     Returns (B,G,C,h,w).  Coordinates outside [-1, 1] read zeros.
     """
     b, _, h, w = images.shape
-    idx, (wy, wx), _ = _taps(grid, b, h, w)
+    idx, (wy, wx), _ = taps or bilinear_taps(grid, b, h, w)
     canvas = _canvas(images)
     # One corner at a time, so no temporary holds all four corners.
     out = None
@@ -133,10 +137,10 @@ def bilinear_forward(images, grid):
     return np.ascontiguousarray(out.transpose(1, 2, 0, 3, 4))
 
 
-def bilinear_image_grad(gy, grid, h, w):
+def bilinear_image_grad(gy, grid, h, w, taps=None):
     """Gradient of bilinear_forward w.r.t. the images; gy is (B,G,C,h,w)."""
     b, _, c = gy.shape[:3]
-    idx, (wy, wx), _ = _taps(grid, b, h, w)
+    idx, (wy, wx), _ = taps or bilinear_taps(grid, b, h, w)
     # One scatter-add per channel over the flat (b, y, x) indices, the four
     # corners in front, so each bin sums in the same order for every channel.
     bins = idx.ravel()
@@ -148,15 +152,21 @@ def bilinear_image_grad(gy, grid, h, w):
     return gimg
 
 
-def bilinear_grid_grad(gy, images, grid):
+def bilinear_grid_grad(gy, images, grid, taps=None):
     """Gradient of bilinear_forward w.r.t. the normalized grid coordinates."""
     b, _, h, w = images.shape
-    idx, (wy, wx), (on_y, on_x) = _taps(grid, b, h, w)
-    vals = np.take(_canvas(images), idx, axis=1)
-    # gy against the value at each corner, then d weight / d pixel coordinate
-    # (the slope: -1 for the near tap, +1 for the far one, 0 off the canvas).
-    dot = np.einsum("bgcij,cyxbgij->yxbgij", gy, vals)
+    idx, (wy, wx), (on_y, on_x) = taps or bilinear_taps(grid, b, h, w)
+    canvas = _canvas(images)
+    # gy against the value at one corner at a time, times d weight / d pixel
+    # coordinate (the slope: -1 for the near tap, +1 for the far one, 0 off
+    # the canvas), added in corner order.
     sign = np.array([-1.0, 1.0], dtype=grid.dtype).reshape(2, 1, 1, 1, 1)
-    dpx = (dot * (wy[:, None] * (sign * on_x))).sum(axis=(0, 1))
-    dpy = (dot * ((sign * on_y)[:, None] * wx)).sum(axis=(0, 1))
+    slope_y, slope_x = sign * on_y, sign * on_x
+    dpx = dpy = None
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        dot = np.einsum("bgcij,cbgij->bgij", gy, np.take(canvas, idx[i, j], axis=1))
+        tx = dot * (wy[i] * slope_x[j])
+        ty = np.multiply(dot, slope_y[i] * wx[j], out=dot)
+        dpx = tx if dpx is None else np.add(dpx, tx, out=dpx)
+        dpy = ty if dpy is None else np.add(dpy, ty, out=dpy)
     return np.stack([dpx * 0.5 * (w - 1), dpy * 0.5 * (h - 1)], axis=-1)

@@ -1,7 +1,8 @@
 """Test-only reference kernels: the per-tap einsum convolutions, the
 ``np.add.at`` bilinear scatter, and the per-corner fancy-index bilinear
 forward and grid gradient that ``kpp.kernels`` used before it moved to
-im2col products, ``np.bincount`` and one shared corner table.
+im2col products, ``np.bincount`` and one shared corner table; and that
+table as first built, with ``np.stack``.
 
 Slow but direct: each kernel tap and each bilinear corner is one visible
 step, so these serve as the oracle for the production kernels.
@@ -152,3 +153,21 @@ def bilinear_grid_grad(gy, images, grid):
     ggrid[..., 0] = dpx * 0.5 * (w - 1)
     ggrid[..., 1] = dpy * 0.5 * (h - 1)
     return ggrid
+
+
+def bilinear_taps(grid, b, h, w):
+    """The corner table of ``kpp.kernels.bilinear_taps``, built from stacked
+    temporaries: flat indices (2, 2, B, G, h, w), then per-axis weights and
+    on-canvas masks (2, B, G, h, w) for y and for x."""
+    def axis(p, size):
+        p0 = np.floor(p)
+        frac = p - p0
+        i = p0.astype(np.intp) + np.arange(2).reshape(2, 1, 1, 1, 1)
+        on = (i >= 0) & (i < size)
+        wt = np.stack([1 - frac, frac]) * on
+        return np.clip(i, 0, size - 1), wt, on
+
+    iy, wy, on_y = axis((grid[..., 1] + 1.0) * 0.5 * (h - 1), h)
+    ix, wx, on_x = axis((grid[..., 0] + 1.0) * 0.5 * (w - 1), w)
+    iy = (iy + np.arange(b).reshape(b, 1, 1, 1) * h) * w
+    return iy[:, None] + ix, (wy, wx), (on_y, on_x)

@@ -165,6 +165,27 @@ def test_conv2d_skips_input_grad_of_constant_input(rng, monkeypatch):
     assert x.grad is None and w.grad is not None
 
 
+def test_bilinear_sample_builds_one_corner_table(rng, monkeypatch):
+    """The forward pass and both gradients of one read share one table."""
+    calls = []
+    build = kernels.bilinear_taps
+    monkeypatch.setattr(kernels, "bilinear_taps",
+                        lambda *args: calls.append(args) or build(*args))
+    images = ad.parameter(r(rng, 2, 3, 6, 7))
+    grid = ad.parameter(rng.uniform(-1.2, 1.2, size=(2, 4, 3, 5, 2)))
+    ad.backward(ad.sum_(ad.mul(ad.bilinear_sample(images, grid),
+                               ad.constant(r(rng, 2, 4, 3, 3, 5)))))
+    assert len(calls) == 1
+    assert images.grad is not None and grid.grad is not None
+
+
+def test_bilinear_sample_of_constants_keeps_no_backward(rng):
+    """A forward-only read drops its backward, and the table with it."""
+    out = ad.bilinear_sample(ad.constant(r(rng, 1, 2, 5, 5)),
+                             ad.constant(rng.uniform(-1, 1, size=(1, 2, 3, 3, 2))))
+    assert out._backward is None
+
+
 def test_bilinear_sample_gradient():
     for draw in range(50):
         rng = np.random.default_rng(4200 + draw)

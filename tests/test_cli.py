@@ -35,6 +35,19 @@ def mask_wall(rows):
     return out
 
 
+COMMANDS = ["train", "generate", "denoise", "ablate"]
+
+
+def command_argv(command, ckpt_dir):
+    """A fast run of one artifact-writing command."""
+    ckpt = ["--ckpt", str(ckpt_dir / "final.bin"), "--T", "2"]
+    return {"train": ["train", "--data", "synth", *FAST],
+            "generate": ["generate", *ckpt, "--n", "1"],
+            "denoise": ["denoise", *ckpt, "--n", "1", "--steps", "1"],
+            "ablate": ["ablate", "--data", "synth", "--values", "on", "--seeds", "1",
+                       *FAST]}[command]
+
+
 @pytest.fixture(scope="module")
 def ckpt_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_train")
@@ -59,24 +72,28 @@ class TestTrain:
         assert "epochs = 1" in text
         assert f"out = {ckpt_dir}" in text
 
-    @pytest.mark.parametrize("command", ["train", "generate", "denoise", "ablate"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("named", [False, True], ids=["default-out", "given-out"])
     def test_manifest_has_one_out_line(self, ckpt_dir, tmp_path, monkeypatch, command, named):
         """Every command's manifest names its run directory exactly once,
         also when --out is left to its default."""
         monkeypatch.chdir(tmp_path)
-        ckpt = ["--ckpt", str(ckpt_dir / "final.bin"), "--T", "2"]
-        argv = {"train": ["train", "--data", "synth", *FAST],
-                "generate": ["generate", *ckpt, "--n", "1"],
-                "denoise": ["denoise", *ckpt, "--n", "1", "--steps", "1"],
-                "ablate": ["ablate", "--data", "synth", "--values", "on", "--seeds", "1",
-                           *FAST]}[command]
+        argv = command_argv(command, ckpt_dir)
         out = "given" if named else os.path.join("runs", command)
         if named:
             argv += ["--out", out]
         assert run(argv) == 0
         lines = (tmp_path / out / "manifest.txt").read_text().splitlines()
         assert [ln for ln in lines if ln.startswith("out =")] == [f"out = {out}"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_manifest_has_one_seed_line(self, ckpt_dir, tmp_path, command):
+        """The seed a run uses is written once; ablate runs its --seeds
+        and writes no single seed."""
+        assert run(command_argv(command, ckpt_dir) + ["--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        seed_lines = [ln for ln in lines if ln.split(" = ")[0] in ("seed", "seeds")]
+        assert seed_lines == (["seeds = 1"] if command == "ablate" else ["seed = 1"])
 
     def test_manifest_written_before_failure(self, tmp_path):
         out = tmp_path / "failing"
@@ -251,6 +268,13 @@ class TestAblate:
                   "--values", "maybe", "--seeds", "1", *FAST,
                   "--out", str(tmp_path / "a")])
         assert rc == 1
+
+    def test_single_seed_rejected(self, tmp_path):
+        """--seeds picks each cell's seed, so a --seed would go unused."""
+        with pytest.raises(SystemExit) as exc:
+            run(["ablate", "--data", "synth", "--seeds", "1", "--seed", "7", *FAST,
+                 "--out", str(tmp_path / "a")])
+        assert exc.value.code != 0
 
     def test_empty_seed_list(self, tmp_path):
         rc = run(["ablate", "--data", "synth", "--seeds", ",",

@@ -170,6 +170,64 @@ def _bilinear_cases():
 KERNEL_CASES = list(_conv_cases()) + list(_bilinear_cases())
 
 
+def _benchmark_cases(monkeypatch):
+    """The benchmark's six fixed kernel cases, {kernel name: args}."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import kernel_cases
+    return kernel_cases.cases()
+
+
+def _read_of(name, args):
+    """(grid, b, h, w): the read a bilinear kernel call makes."""
+    if name == "bilinear_forward":
+        images, grid = args
+        b, _, h, w = images.shape
+    elif name == "bilinear_image_grad":
+        gy, grid, h, w = args
+        b = gy.shape[0]
+    else:
+        gy, images, grid = args
+        b, _, h, w = images.shape
+    return grid, b, h, w
+
+
+def _table_grids():
+    """(grid, b, h, w) of every BILINEAR_CASES read, then grids at exactly
+    +-1 and on integer pixels of canvases whose (size - 1) is a power of two."""
+    for name, args in _bilinear_cases():
+        if name == "bilinear_forward":
+            yield _read_of(name, args)
+    rng = np.random.default_rng(9)
+    yield rng.choice([-1.0, 1.0], size=(2, 3, 4, 5, 2)), 2, 7, 9
+    py, px = np.meshgrid(np.arange(17), np.arange(9), indexing="ij")
+    on_pixels = np.stack([px / 4.0 - 1, py / 8.0 - 1], axis=-1)[None, None]
+    yield np.repeat(on_pixels, 3, axis=0), 3, 17, 9
+
+
+class TestCornerTable:
+    """The in-place corner table matches the stacked formula it replaced,
+    and each kernel gives the same output with the table handed in."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_stacked_reference(self, dtype):
+        for grid, b, h, w in _table_grids():
+            grid = grid.astype(dtype)
+            idx, weights, masks = kernels.bilinear_taps(grid, b, h, w)
+            ref_idx, ref_weights, ref_masks = ref.bilinear_taps(grid, b, h, w)
+            assert np.array_equal(idx, ref_idx) and idx.dtype == ref_idx.dtype
+            for got, expect in zip(weights + masks, ref_weights + ref_masks):
+                assert np.array_equal(got, expect) and got.dtype == expect.dtype
+
+    def test_given_table_changes_nothing(self, monkeypatch):
+        cases = [(n, a) for n, a in _benchmark_cases(monkeypatch).items()
+                 if n.startswith("bilinear")]
+        for name, args in list(_bilinear_cases()) + cases:
+            kernel = getattr(kernels, name)
+            taps = kernels.bilinear_taps(*_read_of(name, args))
+            assert np.array_equal(kernel(*args, taps=taps), kernel(*args)), name
+
+
 class TestDtype:
     """Each kernel computes in its operands' dtype, and in float32 stays
     within 1e-5 of the float64 oracle, relative to the output's size."""
@@ -190,10 +248,7 @@ class TestDtype:
 
     def test_benchmark_cases_stay_float64(self, monkeypatch):
         """The benchmark's fixed cases call the kernels with float64."""
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
-        import kernel_cases
-        for name, args in kernel_cases.cases().items():
+        for name, args in _benchmark_cases(monkeypatch).items():
             assert getattr(kernels, name)(*args).dtype == np.float64, name
 
 

@@ -1,5 +1,6 @@
 """Smoke test of the benchmark in perfbench/: a one-second run of every
-workload, and a traced one, must pass all of its own checks.
+workload, and traced runs of the default and the long-episode training,
+must pass all of its own checks.
 
 The benchmark hooks kpp from outside through module attributes
 (``trainer.elbo_graph``, the four-argument ``trainer.eval_conditional``,
@@ -20,7 +21,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
 
 RUNS = [("train-default", 0), ("train-long-episode", 0), ("train-no-memory", 0),
-        ("infer-read", 0), ("train-default", 1)]
+        ("infer-read", 0), ("train-default", 1), ("train-long-episode", 1)]
 
 
 @pytest.mark.parametrize("workload,trace", RUNS, ids=[f"{w}-trace{t}" for w, t in RUNS])
