@@ -1,7 +1,12 @@
 """Command-line surface: train, generate, denoise, ablate, eval.
 
-Every run writes a manifest before computing, keeps all outputs inside
-its run directory, and is byte-reproducible given (args, seed).
+argparse resolves every option.  Each flag defaults to its value in the
+command's ``*_DEFAULTS`` dict; a ``--config`` file's ``key = value`` lines
+become ``--key=value`` flags placed before the command line's own, so
+flags win over the file, the file wins over defaults, and file entries get
+the same checks as flags.  Every run that writes files writes a manifest
+of the resolved options before computing, keeps all outputs inside its run
+directory, and is byte-reproducible given (args, seed).
 Exit codes: 0 success, 1 usage or I/O error, 2 divergence abort.
 """
 
@@ -27,6 +32,9 @@ SYNTH_SIDE = 16
 SYNTH_TRAIN_SEED = 4242
 SYNTH_TEST_SEED = 4243
 
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -35,50 +43,32 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _read_config_file(path):
-    """Parse `key = value` lines; '#' starts a comment."""
+def _config_flags(path, defaults):
+    """The flags that a file of `key = value` lines stands for; '#' starts
+    a comment, a later line wins over an earlier one for the same key, and
+    a key must be one of the command's options."""
     values = {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, val = (s.strip() for s in line.partition("="))
+            if not eq:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
-
-
-def _coerce(raw, like):
-    if isinstance(like, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    return raw
-
-
-class _Options:
-    """Flags override config-file entries, which override defaults."""
-
-    def __init__(self, args, defaults):
-        self._args = args
-        self._file = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        self._defaults = defaults
-
-    def get(self, key):
-        v = getattr(self._args, key, None)
-        if v is not None:
-            return v
-        default = self._defaults[key]
-        if key in self._file:
-            return _coerce(self._file[key], default)
-        return default
-
-    def snapshot(self):
-        return {k: self.get(k) for k in sorted(self._defaults)}
+            if key not in defaults:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if isinstance(defaults[key], bool) and val.lower() not in _BOOLS:
+                raise ValueError(f"{path}:{lineno}: {key} takes true or false, got {val!r}")
+            values[key] = val
+    flags = []
+    for key, val in values.items():
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(defaults[key], bool):
+            flags.append(f"{flag}={val}")
+        elif _BOOLS[val.lower()]:
+            flags.append(flag)
+    return flags
 
 
 def _load_corpus(spec, binarize_mode="threshold"):
@@ -110,26 +100,29 @@ def _load_corpus(spec, binarize_mode="threshold"):
     return train, test
 
 
-def _write_manifest(out_dir, argv, snapshot):
+def _load_checkpoint(path):
+    if not path or not os.path.exists(path):
+        raise FileNotFoundError(f"--ckpt {path!r}: checkpoint not found")
+    return MemoryVAE.load(path)
+
+
+def _write_manifest(out_dir, argv, args):
     """The command line, the version and every resolved option; ``out`` is
     the directory the run writes, whether or not --out named it."""
     os.makedirs(out_dir, exist_ok=True)
+    options = {k: v for k, v in sorted(vars(args).items()) if k not in ("command", "config")}
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         f.write(f"command = kpp {' '.join(argv)}\n")
         f.write(f"version = {__version__}\n")
-        for key, val in dict(snapshot, out=out_dir).items():
+        for key, val in dict(options, out=out_dir).items():
             f.write(f"{key} = {val}\n")
 
 
 def _save_image_grid(out_dir, stem, images):
-    paths = []
     for i, img in enumerate(images):
-        p = os.path.join(out_dir, f"{stem}_{i:03d}.pgm")
-        data_mod.save_pgm(p, img)
-        paths.append(p)
+        data_mod.save_pgm(os.path.join(out_dir, f"{stem}_{i:03d}.pgm"), img)
     data_mod.save_pgm(os.path.join(out_dir, f"{stem}_grid.pgm"),
                       data_mod.image_grid(np.asarray(images)))
-    return paths
 
 
 TRAIN_DEFAULTS = dict(
@@ -140,29 +133,25 @@ TRAIN_DEFAULTS = dict(
 )
 
 
-def _train_config(opt, train_set, seed):
+def _train_config(args, train_set, seed):
     model_cfg = ModelConfig(
-        image_shape=train_set.image_shape,
-        T=opt.get("T"), K=opt.get("K"), L=opt.get("L"),
-        likelihood=opt.get("likelihood"), gaussian_std=opt.get("sigma"),
-        ablation=opt.get("no_memory"),
+        image_shape=train_set.image_shape, T=args.T, K=args.K, L=args.L,
+        likelihood=args.likelihood, gaussian_std=args.sigma,
+        ablation=args.no_memory,
     )
     return TrainConfig(
-        model=model_cfg, epochs=opt.get("epochs"),
-        batch_episodes=opt.get("batch"),
-        episodes_per_epoch=opt.get("episodes_per_epoch"),
-        lr=opt.get("lr"), schedule=opt.get("schedule"),
-        warmup_epochs=opt.get("warmup"), weight_decay=opt.get("weight_decay"),
-        seed=seed,
+        model=model_cfg, epochs=args.epochs, batch_episodes=args.batch,
+        episodes_per_epoch=args.episodes_per_epoch, lr=args.lr,
+        schedule=args.schedule, warmup_epochs=args.warmup,
+        weight_decay=args.weight_decay, seed=seed,
     )
 
 
 def cmd_train(args, argv):
-    opt = _Options(args, TRAIN_DEFAULTS)
-    out_dir = opt.get("out") or os.path.join("runs", "train")
-    _write_manifest(out_dir, argv, opt.snapshot())
-    train_set, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
-    config = _train_config(opt, train_set, opt.get("seed"))
+    out_dir = args.out or os.path.join("runs", "train")
+    _write_manifest(out_dir, argv, args)
+    train_set, test_set = _load_corpus(args.data, args.binarize)
+    config = _train_config(args, train_set, args.seed)
     _, history = trainer_mod.train(
         config, train_set, test_set, out_dir=out_dir,
         log=lambda msg: print(msg, flush=True),
@@ -178,52 +167,33 @@ GEN_DEFAULTS = dict(
 )
 
 
-def _memory_from_test_episode(model, test_set, t, seed):
-    episode = data_mod.episode_grid(test_set, t, seed)
-    emb = model.encode(ad.constant(episode.images))
-    return model.write_memory(emb), episode
-
-
 def cmd_generate(args, argv):
-    opt = _Options(args, GEN_DEFAULTS)
-    ckpt = opt.get("ckpt")
-    if not ckpt or not os.path.exists(ckpt):
-        raise FileNotFoundError(f"--ckpt {ckpt!r}: checkpoint not found")
-    n = opt.get("n")
-    perturb = opt.get("perturb")
+    model = _load_checkpoint(args.ckpt)
+    n, perturb, seed = args.n, args.perturb, args.seed
     if n < 1:
         raise ValueError(f"--n must be >= 1, got {n}")
     if perturb < 0:
         raise ValueError(f"--perturb must be >= 0, got {perturb}")
-    out_dir = opt.get("out") or os.path.join("runs", "generate")
-    _write_manifest(out_dir, argv, opt.snapshot())
-    model = MemoryVAE.load(ckpt)
-    _, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
-    memory, _ = _memory_from_test_episode(
-        model, test_set, opt.get("T"), [opt.get("seed"), 10])
-    seed = opt.get("seed")
-    key_rows = []
+    out_dir = args.out or os.path.join("runs", "generate")
+    _write_manifest(out_dir, argv, args)
+    _, test_set = _load_corpus(args.data, args.binarize)
+    episode = data_mod.episode_grid(test_set, args.T, [seed, 10])
+    memory = model.write_memory(model.encode(ad.constant(episode.images)))
+    # one key set per image, or one base key set to perturb
+    keys = np.random.default_rng([seed, 11]).standard_normal(
+        (1 if perturb > 0 else n, model.config.K, 3))
+    images = objective.generate_from_keys(memory, keys, model)
     if perturb > 0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
-        base = rng.standard_normal((model.config.K, 3))
-        base_img = objective._generate_from_raw_keys(memory, base[None], model)[0]
-        data_mod.save_pgm(os.path.join(out_dir, "base.pgm"), base_img)
-        images = objective.perturbed_generate(memory, base, perturb, n, model,
+        data_mod.save_pgm(os.path.join(out_dir, "base.pgm"), images[0])
+        images = objective.perturbed_generate(memory, keys[0], perturb, n, model,
                                               [seed, 12])
-        for k in range(model.config.K):
-            key_rows.append(["base", k] + [f"{v:.10g}" for v in base[k]])
-    else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
-        raw = rng.standard_normal((n, model.config.K, 3))
-        images = objective._generate_from_raw_keys(memory, raw, model)
-        for i in range(n):
-            for k in range(model.config.K):
-                key_rows.append([i, k] + [f"{v:.10g}" for v in raw[i, k]])
     _save_image_grid(out_dir, "gen", images)
     with open(os.path.join(out_dir, "keys.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["image_id", "k", "s", "x", "y"])
-        writer.writerows(key_rows)
+        for i, image_keys in zip(["base"] if perturb > 0 else range(n), keys):
+            for k, key in enumerate(image_keys):
+                writer.writerow([i, k] + [f"{v:.10g}" for v in key])
     print(f"wrote {n} generations + grid + keys.csv under {out_dir}")
     return 0
 
@@ -235,21 +205,17 @@ DENOISE_DEFAULTS = dict(
 
 
 def cmd_denoise(args, argv):
-    opt = _Options(args, DENOISE_DEFAULTS)
-    ckpt = opt.get("ckpt")
-    if not ckpt or not os.path.exists(ckpt):
-        raise FileNotFoundError(f"--ckpt {ckpt!r}: checkpoint not found")
-    kind = opt.get("noise")
+    model = _load_checkpoint(args.ckpt)
+    kind, t, n, steps, seed = args.noise, args.T, args.n, args.steps, args.seed
     if kind not in data_mod.NOISE_KINDS:
         raise ValueError(f"--noise must be one of {data_mod.NOISE_KINDS}, got {kind!r}")
-    out_dir = opt.get("out") or os.path.join("runs", "denoise")
-    _write_manifest(out_dir, argv, opt.snapshot())
-    model = MemoryVAE.load(ckpt)
-    _, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
-    t = opt.get("T")
-    n = opt.get("n")
-    steps = opt.get("steps")
-    seed = opt.get("seed")
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
+    if steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {steps}")
+    out_dir = args.out or os.path.join("runs", "denoise")
+    _write_manifest(out_dir, argv, args)
+    _, test_set = _load_corpus(args.data, args.binarize)
     sampler = data_mod.EpisodeSampler(test_set, t, np.random.SeedSequence([seed, 20]))
     rows = []
     done = 0
@@ -261,7 +227,7 @@ def cmd_denoise(args, argv):
             clean = episode.images[i]
             noisy, traj, errors = objective.denoise(
                 memory, clean, kind, steps, model, [seed, 21, done],
-                rate=opt.get("rate"), std=opt.get("std"), scale=opt.get("scale"),
+                rate=args.rate, std=args.std, scale=args.scale,
             )
             data_mod.save_pgm(os.path.join(out_dir, f"img{done:03d}_clean.pgm"), clean)
             data_mod.save_pgm(os.path.join(out_dir, f"img{done:03d}_noisy.pgm"), noisy)
@@ -284,8 +250,9 @@ ABLATE_DEFAULTS = dict({k: v for k, v in TRAIN_DEFAULTS.items() if k != "seed"},
                        axis="memory", values="on,off", seeds="1,2,3")
 
 
-def _ablate_cell(opt, train_set, test_set, axis, value, seed):
-    config = _train_config(opt, train_set, seed)
+def _ablate_cell(args, train_set, test_set, value, seed):
+    config = _train_config(args, train_set, seed)
+    axis = args.axis
     if axis in ("T", "K"):
         model_cfg = replace(config.model, **{axis: int(value)})
     elif axis == "memory":
@@ -302,23 +269,21 @@ def _ablate_cell(opt, train_set, test_set, axis, value, seed):
 
 
 def cmd_ablate(args, argv):
-    opt = _Options(args, ABLATE_DEFAULTS)
-    values = [v for v in str(opt.get("values")).split(",") if v]
-    seeds = [int(s) for s in str(opt.get("seeds")).split(",") if s]
+    values = [v for v in args.values.split(",") if v]
+    seeds = [int(s) for s in args.seeds.split(",") if s]
     if not values:
         raise ValueError("--values list is empty")
     if not seeds:
         raise ValueError("--seeds list is empty")
-    out_dir = opt.get("out") or os.path.join("runs", "ablate")
-    _write_manifest(out_dir, argv, opt.snapshot())
-    train_set, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
-    axis = opt.get("axis")
+    out_dir = args.out or os.path.join("runs", "ablate")
+    _write_manifest(out_dir, argv, args)
+    train_set, test_set = _load_corpus(args.data, args.binarize)
     rows = []
     for value in values:
         for seed in seeds:
-            row = _ablate_cell(opt, train_set, test_set, axis, value, seed)
+            row = _ablate_cell(args, train_set, test_set, value, seed)
             rows.append(row)
-            print(f"ablate {axis}={value} seed={seed}: "
+            print(f"ablate {args.axis}={value} seed={seed}: "
                   f"test_elbo={row[3]} test_kl={row[4]}", flush=True)
     with open(os.path.join(out_dir, "ablation.csv"), "w", newline="") as f:
         writer = csv.writer(f)
@@ -328,21 +293,14 @@ def cmd_ablate(args, argv):
     return 0
 
 
-EVAL_DEFAULTS = dict(
-    ckpt="", data="synth", T=8, seed=1, binarize="threshold", out="",
-)
+EVAL_DEFAULTS = dict(ckpt="", data="synth", T=8, seed=1, binarize="threshold")
 
 
 def cmd_eval(args, argv):
-    opt = _Options(args, EVAL_DEFAULTS)
-    ckpt = opt.get("ckpt")
-    if not ckpt or not os.path.exists(ckpt):
-        raise FileNotFoundError(f"--ckpt {ckpt!r}: checkpoint not found")
-    model = MemoryVAE.load(ckpt)
-    _, test_set = _load_corpus(opt.get("data"), opt.get("binarize"))
-    row = trainer_mod.eval_conditional(model, test_set, opt.get("T"),
-                                       [opt.get("seed"), 30])
-    row.seed = opt.get("seed")
+    model = _load_checkpoint(args.ckpt)
+    _, test_set = _load_corpus(args.data, args.binarize)
+    row = trainer_mod.eval_conditional(model, test_set, args.T, [args.seed, 30])
+    row.seed = args.seed
     print(",".join(trainer_mod.METRICS_HEADER))
     print(",".join(str(v) for v in row.as_list()))
     pixels = int(np.prod(model.config.image_shape))
@@ -353,32 +311,30 @@ def cmd_eval(args, argv):
     return 0
 
 
-def _add_common(p, defaults):
-    for key, val in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(val, bool):
-            p.add_argument(flag, action="store_const", const=True, default=None)
-        else:
-            choices = (*data_mod.BINARIZE_MODES, "none") if key == "binarize" else None
-            p.add_argument(flag, type=type(val), default=None, choices=choices)
-    p.add_argument("--config", type=str, default=None,
-                   help="file of key = value lines (flags take precedence)")
+COMMANDS = {
+    "train": (TRAIN_DEFAULTS, cmd_train),
+    "generate": (GEN_DEFAULTS, cmd_generate),
+    "denoise": (DENOISE_DEFAULTS, cmd_denoise),
+    "ablate": (ABLATE_DEFAULTS, cmd_ablate),
+    "eval": (EVAL_DEFAULTS, cmd_eval),
+}
 
 
 def build_parser():
     parser = _Parser(prog="kpp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, defaults, fn in (
-        ("train", TRAIN_DEFAULTS, cmd_train),
-        ("generate", GEN_DEFAULTS, cmd_generate),
-        ("denoise", DENOISE_DEFAULTS, cmd_denoise),
-        ("ablate", ABLATE_DEFAULTS, cmd_ablate),
-        ("eval", EVAL_DEFAULTS, cmd_eval),
-    ):
+    for name, (defaults, _) in COMMANDS.items():
         # flags match exactly, so ablate's --seeds never takes a --seed
         p = sub.add_parser(name, allow_abbrev=False)
-        _add_common(p, defaults)
-        p.set_defaults(fn=fn)
+        for key, val in defaults.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(val, bool):
+                p.add_argument(flag, action="store_true")
+            else:
+                choices = (*data_mod.BINARIZE_MODES, "none") if key == "binarize" else None
+                p.add_argument(flag, type=type(val), default=val, choices=choices)
+        p.add_argument("--config", type=str, default=None,
+                       help="file of key = value lines (flags take precedence)")
     return parser
 
 
@@ -386,8 +342,12 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    defaults, fn = COMMANDS[args.command]
     try:
-        return args.fn(args, argv)
+        if args.config:
+            args = parser.parse_args(
+                argv[:1] + _config_flags(args.config, defaults) + argv[1:])
+        return fn(args, argv)
     except (DivergenceError, ad.NonFiniteError) as exc:
         print(f"kpp: divergence: {exc}", file=sys.stderr)
         return 2

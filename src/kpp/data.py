@@ -34,14 +34,6 @@ class Dataset:
         return self.images.shape[1:]
 
 
-def _rng_from(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def load_idx(path, split="train", name=None):
     """Parse an IDX image file (magic 0x803) into a Dataset in [0,1]."""
     with open(path, "rb") as f:
@@ -81,7 +73,7 @@ def binarize(dataset: Dataset, mode="threshold", seed=0) -> Dataset:
     if mode == "threshold":
         images = (dataset.images >= 0.5).astype(np.float64)
     elif mode == "sample":
-        rng = _rng_from(seed)
+        rng = np.random.default_rng(seed)
         images = (rng.random(dataset.images.shape) < dataset.images).astype(np.float64)
     else:
         raise ValueError(f"unknown binarize mode {mode!r}")
@@ -126,7 +118,7 @@ def synth_shapes(n, h, w, seed, split="train") -> Dataset:
     """n binary images of randomly placed rectangles, crosses and circles."""
     if h < 8 or w < 8:
         raise ValueError(f"synthetic images need sides >= 8, got {h}x{w}")
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
     images = np.zeros((n, 1, h, w))
     for i in range(n):
         _SHAPE_FNS[i % 3](images[i, 0], rng)
@@ -138,7 +130,7 @@ def inject_noise(image, kind, seed, rate=0.1, std=0.3, scale=30.0):
     image = np.asarray(image, dtype=np.float64)
     if image.min() < 0 or image.max() > 1:
         raise ValueError("inject_noise expects pixels in [0,1]")
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
     if kind == "salt_pepper":
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"salt_pepper rate must be in [0,1], got {rate}")
@@ -167,7 +159,7 @@ class EpisodeSampler:
             raise ValueError(f"episode length {t} exceeds dataset size {len(dataset)}")
         self.dataset = dataset
         self.t = t
-        self._rng = _rng_from(seed)
+        self._rng = np.random.default_rng(seed)
 
     def sample(self) -> Episode:
         ids = self._rng.choice(len(self.dataset), size=self.t, replace=False)

@@ -189,9 +189,7 @@ class MemoryVAE:
     def _init_value(self, name, shape, kind):
         if kind in ("bias", "zero"):
             return np.zeros(shape)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, *name.encode()]))
-        )
+        rng = np.random.default_rng([self.seed, *name.encode()])
         if len(shape) == 2:  # dense (in, out)
             fan_in = shape[0]
         else:  # conv kernels: input-channel fan-in

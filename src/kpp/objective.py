@@ -48,12 +48,6 @@ class ElboBreakdown:
             raise NonFiniteError(f"non-finite elbo breakdown: {self}")
 
 
-def _rng(seed_or_rng):
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_or_rng)))
-
-
 class _Stage:
     """Context that relabels non-finite failures with the pipeline stage."""
 
@@ -123,7 +117,7 @@ def elbo_graph(model: MemoryVAE, episodes, rng):
     the same episodes draw one at a time.
     """
     images = _episode_stack(episodes, model.dtype)
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     b, t = images.shape[:2]
     cfg = model.config
     eps_y = np.empty((b, t, cfg.K, 3), dtype=model.dtype)
@@ -195,12 +189,14 @@ def _decode_output(model, z):
 def generate(memory: Tensor, n: int, model: MemoryVAE, rng_seed) -> np.ndarray:
     """Sample n images from one memory (1,C,H,W), as ``write_memory`` returns
     it for one episode: prior keys, trace prior mean, decode."""
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     raw_keys = rng.standard_normal((n, model.config.K, 3))
-    return _generate_from_raw_keys(memory, raw_keys, model)
+    return generate_from_keys(memory, raw_keys, model)
 
 
-def _generate_from_raw_keys(memory, raw_keys, model):
+def generate_from_keys(memory: Tensor, raw_keys, model: MemoryVAE) -> np.ndarray:
+    """Decode one image per key set from one memory (1,C,H,W): raw keys
+    (n,K,3) are squashed by tanh, read, and decoded at the trace prior mean."""
     keys = ad.tanh(ad.constant(np.asarray(raw_keys, dtype=model.dtype)))
     traces = read_memory(model, memory, keys)
     zp = model.readout_prior(traces)
@@ -216,9 +212,9 @@ def perturbed_generate(memory: Tensor, base_keys, eps_std: float, n: int,
     base = np.asarray(base_keys)
     if base.shape != (model.config.K, 3):
         raise ValueError(f"base_keys must be (K, 3), got {base.shape}")
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     raw = base[None] + rng.standard_normal((n, model.config.K, 3)) * eps_std
-    return _generate_from_raw_keys(memory, raw, model)
+    return generate_from_keys(memory, raw, model)
 
 
 def iterative_read(memory: Tensor, x_init, steps: int, model: MemoryVAE,
@@ -226,7 +222,7 @@ def iterative_read(memory: Tensor, x_init, steps: int, model: MemoryVAE,
     """Repeatedly re-infer keys and decode, holding the memory fixed."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     x_hat = np.asarray(x_init)
     if x_hat.shape != model.config.image_shape:
         raise ValueError(
@@ -255,7 +251,7 @@ def denoise(memory: Tensor, x_clean, noise_kind: str, steps: int,
     noisy-vs-clean distance and errors[i] the step-i reconstruction error.
     """
     x_clean = np.asarray(x_clean)
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     noise_seed = int(rng.integers(0, 2**31 - 1))
     noisy = data_mod.inject_noise(
         x_clean, noise_kind, noise_seed, rate=rate, std=std, scale=scale

@@ -138,7 +138,7 @@ def eval_conditional(model: MemoryVAE, dataset: Dataset, t: int, seed) -> Metric
     n = len(dataset)
     if n < t:
         raise ValueError(f"split of {n} images cannot form episodes of length {t}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     episodes = rng.permutation(n)[:n // t * t].reshape(-1, t)
     start = time.perf_counter()
     frozen = _constants(model)
@@ -172,8 +172,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     state = init_adam_state(params)
     sampler = EpisodeSampler(train_set, config.model.T,
                              np.random.SeedSequence([config.seed, 1]))
-    noise_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([config.seed, 2])))
+    noise_rng = np.random.default_rng([config.seed, 2])
 
     steps_per_epoch = config.episodes_per_epoch // config.batch_episodes
     history = []

@@ -11,7 +11,7 @@ import pytest
 
 import kpp
 from kpp import trainer as trainer_mod
-from kpp.cli import _read_config_file, main
+from kpp.cli import TRAIN_DEFAULTS, _config_flags, main
 from kpp.trainer import METRICS_HEADER, MetricsRow
 
 FAST = ["--T", "2", "--K", "1", "--L", "8", "--epochs", "1",
@@ -20,6 +20,14 @@ FAST = ["--T", "2", "--K", "1", "--L", "8", "--epochs", "1",
 
 def run(argv):
     return main(argv)
+
+
+def exit_code(argv):
+    """The code a run returns, or the code argparse exits with."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_csv(path):
@@ -160,9 +168,79 @@ class TestConfigFile:
 
     def test_parser_helper(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("# comment only\nlr = 5e-4\nname = hello # trailing\n")
-        got = _read_config_file(cfg)
-        assert got == {"lr": "5e-4", "name": "hello"}
+        cfg.write_text("# comment only\nlr = 5e-4\ndata = hello # trailing\n"
+                       "no_memory = yes\nepochs = 3\nepochs = 4\n")
+        got = _config_flags(cfg, TRAIN_DEFAULTS)
+        assert got == ["--lr=5e-4", "--data=hello", "--no-memory", "--epochs=4"]
+
+    @pytest.mark.parametrize("command,line", [
+        ("train", "epohcs = 1"), ("train", "k = 4"), ("ablate", "seed = 7")])
+    def test_unknown_key_rejected(self, ckpt_dir, tmp_path, capsys, command, line):
+        """A key the command lacks exits 1, as the same flag would, and
+        the run writes nothing."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        argv = command_argv(command, ckpt_dir) + ["--config", str(cfg), "--out", str(out)]
+        assert exit_code(argv) == 1
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert f"unknown key {key!r}" in err and str(cfg) in err
+        assert not out.exists()
+
+    def test_bad_bool_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no_memory = ture\n")
+        out = tmp_path / "out"
+        assert exit_code(["train", "--data", "synth", *FAST, "--config", str(cfg),
+                          "--out", str(out)]) == 1
+        assert "no_memory takes true or false, got 'ture'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,ablation", [("true", True), ("On", True),
+                                                ("false", False)])
+    def test_bool_key_reaches_model(self, tmp_path, monkeypatch, value, ablation):
+        seen = []
+
+        def fake_train(config, train_set, test_set, **kwargs):
+            seen.append(config)
+            return None, []
+
+        monkeypatch.setattr(trainer_mod, "train", fake_train)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_memory = {value}\n")
+        assert run(["train", "--data", "synth", *FAST, "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert [c.model.ablation for c in seen] == [ablation]
+
+    @pytest.mark.parametrize("line,flag", [
+        ("binarize = stochastic", ["--binarize", "stochastic"]),
+        ("T = x", ["--T", "x"])], ids=["binarize", "T"])
+    def test_same_checks_as_flags(self, tmp_path, line, flag):
+        """A bad value exits 1 before anything is written, from a file as
+        from the command line."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        base = ["train", "--data", "synth", *FAST]
+        for name, extra in (("file", ["--config", str(cfg)]), ("flag", flag)):
+            out = tmp_path / name
+            assert exit_code(base + extra + ["--out", str(out)]) == 1
+            assert not out.exists()
+
+    def test_file_and_flag_agree(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 2\n")
+        i = FAST.index("--epochs")
+        base = ["train", "--data", "synth", *FAST[:i], *FAST[i + 2:]]
+        manifests = []
+        for name, extra in (("file", ["--config", str(cfg)]), ("flag", ["--epochs", "2"])):
+            out = tmp_path / "out"
+            assert run(base + extra + ["--out", str(out)]) == 0
+            lines = (out / "manifest.txt").read_text().splitlines()
+            assert lines[0].startswith("command = kpp train")
+            manifests.append(lines[1:])
+        assert manifests[0] == manifests[1]
+        assert "epochs = 2" in manifests[0]
 
 
 class TestGenerate:
@@ -224,6 +302,14 @@ class TestDenoise:
             assert (out / f"img{i:03d}_noisy.pgm").exists()
             assert (out / f"img{i:03d}_step01.pgm").exists()
             assert (out / f"img{i:03d}_step02.pgm").exists()
+
+    @pytest.mark.parametrize("flag", ["--n", "--steps"])
+    def test_bad_count_rejected(self, ckpt_dir, tmp_path, capsys, flag):
+        out = tmp_path / "d"
+        argv = command_argv("denoise", ckpt_dir) + [flag, "0", "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"kpp: error: {flag} must be >= 1")
+        assert not out.exists()
 
     def test_unknown_noise_kind(self, ckpt_dir, tmp_path):
         rc = run(["denoise", "--ckpt", str(ckpt_dir / "final.bin"),
@@ -297,6 +383,12 @@ class TestEval:
     def test_missing_checkpoint(self, tmp_path):
         rc = run(["eval", "--ckpt", str(tmp_path / "none.bin")])
         assert rc == 1
+
+    def test_out_rejected(self, ckpt_dir, tmp_path):
+        """eval writes nothing, so it takes no --out."""
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--ckpt", str(ckpt_dir / "final.bin"), "--out", str(tmp_path)])
+        assert exc.value.code == 1
 
 
 class TestReproducibility:
