@@ -25,7 +25,7 @@ class NonFiniteError(ArithmeticError):
 
 
 class GraphError(RuntimeError):
-    """Raised on invalid backward usage (non-scalar loss, reuse, cycles)."""
+    """Raised on invalid backward usage (non-scalar loss, reuse)."""
 
 
 def _as_array(values):
@@ -409,28 +409,17 @@ def bilinear_sample(images, grid):
 
 
 def _topo_order(root):
-    order = []
-    visiting = set()
-    done = set()
+    """Post-order of the graph under root (acyclic: parents predate a tensor)."""
+    order, seen = [], set()
     stack = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
-            visiting.discard(id(node))
-            done.add(id(node))
             order.append(node)
-            continue
-        if id(node) in done:
-            continue
-        if id(node) in visiting:
-            raise GraphError("cycle detected in computation graph")
-        visiting.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in done:
-                if id(p) in visiting:
-                    raise GraphError("cycle detected in computation graph")
-                stack.append((p, False))
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
     return order
 
 

@@ -4,9 +4,10 @@ argparse resolves every option.  Each flag defaults to its value in the
 command's ``*_DEFAULTS`` dict; a ``--config`` file's ``key = value`` lines
 become ``--key=value`` flags placed before the command line's own, so
 flags win over the file, the file wins over defaults, and file entries get
-the same checks as flags.  Every run that writes files writes a manifest
-of the resolved options before computing, keeps all outputs inside its run
-directory, and is byte-reproducible given (args, seed).
+the same checks as flags.  ``generate``, ``denoise`` and ``eval`` take the
+episode length T from the checkpoint.  Every run that writes files writes
+a manifest of the resolved options before computing, keeps all outputs
+inside its run directory, and is byte-reproducible given (args, seed).
 Exit codes: 0 success, 1 usage or I/O error, 2 divergence abort.
 """
 
@@ -32,6 +33,7 @@ SYNTH_SIDE = 16
 SYNTH_TRAIN_SEED = 4242
 SYNTH_TEST_SEED = 4243
 
+_CHOICES = {"binarize": (*data_mod.BINARIZE_MODES, "none"), "axis": ("memory", "T", "K")}
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 
@@ -118,13 +120,6 @@ def _write_manifest(out_dir, argv, args):
             f.write(f"{key} = {val}\n")
 
 
-def _save_image_grid(out_dir, stem, images):
-    for i, img in enumerate(images):
-        data_mod.save_pgm(os.path.join(out_dir, f"{stem}_{i:03d}.pgm"), img)
-    data_mod.save_pgm(os.path.join(out_dir, f"{stem}_grid.pgm"),
-                      data_mod.image_grid(np.asarray(images)))
-
-
 TRAIN_DEFAULTS = dict(
     data="synth", T=8, K=2, L=64, epochs=30, seed=1, lr=1e-3,
     batch=4, episodes_per_epoch=32, warmup=10, schedule="cosine",
@@ -162,7 +157,7 @@ def cmd_train(args, argv):
 
 
 GEN_DEFAULTS = dict(
-    ckpt="", data="synth", T=8, n=16, perturb=0.0, seed=1,
+    ckpt="", data="synth", n=16, perturb=0.0, seed=1,
     binarize="threshold", out="",
 )
 
@@ -177,7 +172,7 @@ def cmd_generate(args, argv):
     out_dir = args.out or os.path.join("runs", "generate")
     _write_manifest(out_dir, argv, args)
     _, test_set = _load_corpus(args.data, args.binarize)
-    episode = data_mod.episode_grid(test_set, args.T, [seed, 10])
+    episode = data_mod.episode_grid(test_set, model.config.T, [seed, 10])
     memory = model.write_memory(model.encode(ad.constant(episode.images)))
     # one key set per image, or one base key set to perturb
     keys = np.random.default_rng([seed, 11]).standard_normal(
@@ -187,7 +182,10 @@ def cmd_generate(args, argv):
         data_mod.save_pgm(os.path.join(out_dir, "base.pgm"), images[0])
         images = objective.perturbed_generate(memory, keys[0], perturb, n, model,
                                               [seed, 12])
-    _save_image_grid(out_dir, "gen", images)
+    for i, img in enumerate(images):
+        data_mod.save_pgm(os.path.join(out_dir, f"gen_{i:03d}.pgm"), img)
+    data_mod.save_pgm(os.path.join(out_dir, "gen_grid.pgm"),
+                      data_mod.image_grid(np.asarray(images)))
     with open(os.path.join(out_dir, "keys.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["image_id", "k", "s", "x", "y"])
@@ -199,20 +197,22 @@ def cmd_generate(args, argv):
 
 
 DENOISE_DEFAULTS = dict(
-    ckpt="", data="synth", T=8, noise="salt_pepper", steps=10, n=8, seed=1,
+    ckpt="", data="synth", noise="salt_pepper", steps=10, n=8, seed=1,
     rate=0.1, std=0.3, scale=30.0, binarize="threshold", out="",
 )
 
 
 def cmd_denoise(args, argv):
     model = _load_checkpoint(args.ckpt)
-    kind, t, n, steps, seed = args.noise, args.T, args.n, args.steps, args.seed
-    if kind not in data_mod.NOISE_KINDS:
-        raise ValueError(f"--noise must be one of {data_mod.NOISE_KINDS}, got {kind!r}")
-    if n < 1:
-        raise ValueError(f"--n must be >= 1, got {n}")
-    if steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {steps}")
+    kind, t, n, steps, seed = args.noise, model.config.T, args.n, args.steps, args.seed
+    for flag, value, ok, rule in (
+            ("--noise", kind, kind in data_mod.NOISE_KINDS, f"one of {data_mod.NOISE_KINDS}"),
+            ("--n", n, n >= 1, ">= 1"), ("--steps", steps, steps >= 1, ">= 1"),
+            ("--rate", args.rate, 0 <= args.rate <= 1, "in [0, 1]"),
+            ("--std", args.std, args.std >= 0, ">= 0"),
+            ("--scale", args.scale, args.scale > 0, "> 0")):
+        if not ok:
+            raise ValueError(f"{flag} must be {rule}, got {value!r}")
     out_dir = args.out or os.path.join("runs", "denoise")
     _write_manifest(out_dir, argv, args)
     _, test_set = _load_corpus(args.data, args.binarize)
@@ -250,22 +250,15 @@ ABLATE_DEFAULTS = dict({k: v for k, v in TRAIN_DEFAULTS.items() if k != "seed"},
                        axis="memory", values="on,off", seeds="1,2,3")
 
 
-def _ablate_cell(args, train_set, test_set, value, seed):
-    config = _train_config(args, train_set, seed)
-    axis = args.axis
-    if axis in ("T", "K"):
-        model_cfg = replace(config.model, **{axis: int(value)})
-    elif axis == "memory":
-        if value not in ("on", "off"):
-            raise ValueError(f"--axis memory takes values on/off, got {value!r}")
-        model_cfg = replace(config.model, ablation=value == "off")
-    else:
-        raise ValueError(f"unknown ablation axis {axis!r}")
-    config = replace(config, model=model_cfg)
-    _, history = trainer_mod.train(config, train_set, test_set)
-    final_test = [r for r in history if r.split == "test"][-1]
-    return [axis, value, seed, f"{final_test.elbo:.10g}",
-            f"{final_test.kl_z + final_test.kl_y:.10g}"]
+def _ablate_model(model_cfg, axis, value):
+    """The model config of one --values entry on one --axis."""
+    try:
+        if axis == "memory":
+            return replace(model_cfg, ablation={"on": False, "off": True}[value])
+        return replace(model_cfg, **{axis: int(value)})
+    except (KeyError, ValueError):
+        takes = "on or off" if axis == "memory" else "integers >= 1"
+        raise ValueError(f"--values: axis {axis} takes {takes}, got {value!r}") from None
 
 
 def cmd_ablate(args, argv):
@@ -275,16 +268,21 @@ def cmd_ablate(args, argv):
         raise ValueError("--values list is empty")
     if not seeds:
         raise ValueError("--seeds list is empty")
+    train_set, test_set = _load_corpus(args.data, args.binarize)
+    base = _train_config(args, train_set, seeds[0])
+    models = [_ablate_model(base.model, args.axis, value) for value in values]
     out_dir = args.out or os.path.join("runs", "ablate")
     _write_manifest(out_dir, argv, args)
-    train_set, test_set = _load_corpus(args.data, args.binarize)
     rows = []
-    for value in values:
+    for value, model_cfg in zip(values, models):
         for seed in seeds:
-            row = _ablate_cell(args, train_set, test_set, value, seed)
-            rows.append(row)
+            config = replace(base, model=model_cfg, seed=seed)
+            _, history = trainer_mod.train(config, train_set, test_set)
+            final = [r for r in history if r.split == "test"][-1]
+            elbo, kl = f"{final.elbo:.10g}", f"{final.kl_z + final.kl_y:.10g}"
+            rows.append([args.axis, value, seed, elbo, kl])
             print(f"ablate {args.axis}={value} seed={seed}: "
-                  f"test_elbo={row[3]} test_kl={row[4]}", flush=True)
+                  f"test_elbo={elbo} test_kl={kl}", flush=True)
     with open(os.path.join(out_dir, "ablation.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["axis", "value", "seed", "test_elbo", "test_kl"])
@@ -293,13 +291,13 @@ def cmd_ablate(args, argv):
     return 0
 
 
-EVAL_DEFAULTS = dict(ckpt="", data="synth", T=8, seed=1, binarize="threshold")
+EVAL_DEFAULTS = dict(ckpt="", data="synth", seed=1, binarize="threshold")
 
 
 def cmd_eval(args, argv):
     model = _load_checkpoint(args.ckpt)
     _, test_set = _load_corpus(args.data, args.binarize)
-    row = trainer_mod.eval_conditional(model, test_set, args.T, [args.seed, 30])
+    row = trainer_mod.eval_conditional(model, test_set, model.config.T, [args.seed, 30])
     row.seed = args.seed
     print(",".join(trainer_mod.METRICS_HEADER))
     print(",".join(str(v) for v in row.as_list()))
@@ -331,8 +329,7 @@ def build_parser():
             if isinstance(val, bool):
                 p.add_argument(flag, action="store_true")
             else:
-                choices = (*data_mod.BINARIZE_MODES, "none") if key == "binarize" else None
-                p.add_argument(flag, type=type(val), default=val, choices=choices)
+                p.add_argument(flag, type=type(val), default=val, choices=_CHOICES.get(key))
         p.add_argument("--config", type=str, default=None,
                        help="file of key = value lines (flags take precedence)")
     return parser

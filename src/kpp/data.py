@@ -140,6 +140,8 @@ def inject_noise(image, kind, seed, rate=0.1, std=0.3, scale=30.0):
         out[(u >= rate / 2) & (u < rate)] = 1.0
         return out
     if kind == "speckle":
+        if not std >= 0.0:
+            raise ValueError(f"speckle std must be >= 0, got {std}")
         eps = rng.normal(0.0, std, size=image.shape)
         return np.clip(image * (1.0 + eps), 0.0, 1.0)
     if kind == "poisson":

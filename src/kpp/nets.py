@@ -19,7 +19,7 @@ stores float32 values exactly.
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,9 @@ PARAM_DTYPE = np.float32
 CHECKPOINT_MAGIC = b"KPP1"
 CONFIG_KEY = "__config__"
 TSM_FOLD_DIV = 8  # shift fraction 0.125 per direction
+LOG_STD_MIN, LOG_STD_MAX = -7.0, 2.0  # every Gaussian head's log-std range
+# Keys older checkpoints store, each loadable only at the value this code builds.
+_RETIRED = {"tsm": True, "log_std_min": LOG_STD_MIN, "log_std_max": LOG_STD_MAX}
 
 
 @dataclass
@@ -68,11 +71,8 @@ class ModelConfig:
     writer_channels: tuple = (16, 8)
     likelihood: str = "bernoulli"
     gaussian_std: float = 1.0
-    tsm: bool = True
     dense_nets: bool = False
     ablation: bool = False
-    log_std_min: float = -7.0
-    log_std_max: float = 2.0
 
     def __post_init__(self):
         self.image_shape = tuple(self.image_shape)
@@ -105,7 +105,24 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        """The config a stored dict describes; a key of no field or a value of
+        the wrong type is a ValueError."""
+        allowed = {f.name: f.default for f in fields(cls)} | _RETIRED
+        for key, value in d.items():
+            if key not in allowed:
+                raise ValueError(f"unknown config key {key!r}")
+            if not _fits(value, allowed[key]) or (key in _RETIRED and value != _RETIRED[key]):
+                raise ValueError(f"config key {key!r} cannot be {value!r}")
+        return cls(**{k: v for k, v in d.items() if k not in _RETIRED})
+
+
+def _fits(value, default):
+    """Whether a stored value has a config default's type; an int passes
+    for a float, and a list of as many entries for a tuple."""
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(map(_fits, value, default)))
+    return type(value) is type(default) or (type(value), type(default)) == (int, float)
 
 
 def tsm_shift(features: Tensor, t=None) -> Tensor:
@@ -117,7 +134,6 @@ def tsm_shift(features: Tensor, t=None) -> Tensor:
     the vacated slots at each episode's ends; remaining channels pass
     through.  Nothing crosses an episode boundary.
     """
-    features = ad.tensor(features) if not isinstance(features, Tensor) else features
     if len(features.shape) != 4:
         raise ValueError(f"tsm_shift expects (B*T,C,h,w), got {features.shape}")
     n, c = features.shape[0], features.shape[1]
@@ -305,7 +321,7 @@ class MemoryVAE:
         d = int(np.prod(event_shape))
         mean = ad.reshape(ad.slice_(out, (slice(None), slice(0, d))), (n,) + tuple(event_shape))
         log_std = ad.reshape(ad.slice_(out, (slice(None), slice(d, 2 * d))), (n,) + tuple(event_shape))
-        log_std = ad.clamp(log_std, self.config.log_std_min, self.config.log_std_max)
+        log_std = ad.clamp(log_std, LOG_STD_MIN, LOG_STD_MAX)
         return DiagGaussian(mean=mean, log_std=log_std)
 
     # -- networks ----------------------------------------------------------
@@ -324,12 +340,8 @@ class MemoryVAE:
             flat = ad.reshape(x, (n, int(np.prod(self.config.image_shape))))
             h = ad.relu(self._dense(flat, "enc.fc0"))
             return self._dense(h, "enc.out")
-        h = ad.relu(self._conv(x, "enc.conv0"))
-        if self.config.tsm:
-            h = tsm_shift(h, t)
-        h = ad.relu(self._conv(h, "enc.conv1"))
-        if self.config.tsm:
-            h = tsm_shift(h, t)
+        h = tsm_shift(ad.relu(self._conv(x, "enc.conv0")), t)
+        h = tsm_shift(ad.relu(self._conv(h, "enc.conv1")), t)
         h = ad.relu(self._conv(h, "enc.conv2"))
         flat = ad.reshape(h, (n, int(np.prod(h.shape[1:]))))
         return self._dense(flat, "enc.fc")
@@ -440,7 +452,10 @@ class MemoryVAE:
         arrays, config_dict = load_checkpoint(path)
         if config_dict is None:
             raise ValueError(f"checkpoint {path} carries no model config")
-        return cls(ModelConfig.from_dict(config_dict), seed=0, arrays=arrays)
+        try:
+            return cls(ModelConfig.from_dict(config_dict), seed=0, arrays=arrays)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
 
     def load_arrays(self, arrays):
         """Overwrite every parameter from arrays, kept in the model's dtype."""
@@ -514,8 +529,4 @@ def load_checkpoint(path):
     if CONFIG_KEY in arrays:
         blob = arrays.pop(CONFIG_KEY)
         config_dict = json.loads(bytes(blob.astype(np.uint8)).decode())
-        for key in ("image_shape", "memory_shape", "trace_size",
-                    "enc_channels", "read_channels", "writer_channels"):
-            if key in config_dict:
-                config_dict[key] = tuple(config_dict[key])
     return arrays, config_dict

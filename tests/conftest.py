@@ -1,9 +1,29 @@
-"""Shared test helpers: finite-difference oracles and tolerances."""
+"""Shared test helpers: a tiny model, finite-difference oracles and tolerances."""
 
 import numpy as np
 import pytest
 
 from kpp import autodiff as ad
+from kpp.nets import ModelConfig
+
+
+def conv_cfg(**kw):
+    """A conv model small enough for finite differences: 8x8 images,
+    T=2, K=1, L=4."""
+    base = dict(image_shape=(1, 8, 8), T=2, K=1, L=4,
+                memory_shape=(1, 16, 16), trace_size=(4, 4),
+                embed_dim=8, enc_channels=(8, 8, 8), key_hidden=4,
+                post_hidden=4, read_channels=(4, 4), dec_hidden=4,
+                dec_base_channels=4, dec_mid_channels=4,
+                mem_base_channels=8, writer_channels=(4, 4))
+    base.update(kw)
+    return ModelConfig(**base)
+
+
+def randomize(model, rng, scale):
+    """Overwrite every parameter with normal draws times scale."""
+    for p in model.params.values():
+        p.data = (rng.normal(size=p.data.shape) * scale).astype(p.data.dtype)
 
 
 def float64(model):

@@ -26,9 +26,9 @@ from kpp.objective import denoise, elbo_graph
 from kpp.stn import sample_traces
 from kpp.trainer import TrainConfig, eval_conditional, train
 
-from conftest import check_op_gradient, float64, rel_err
+from conftest import check_op_gradient, conv_cfg, float64, randomize, rel_err
 from test_cli import FAST, mask_wall, read_csv
-from test_objective import HandOracle, conv_cfg, hand_cfg, randomize
+from test_objective import HandOracle, hand_cfg
 from test_stn import contributing_cells, reference_crop
 
 
@@ -523,13 +523,13 @@ def test_c8_cli_determinism(capsys, tmp_path):
     ckpt = os.path.join(ckpt_dir, "final.bin")
 
     run_twice("generate", lambda out: [
-        "generate", "--ckpt", ckpt, "--data", "synth", "--T", "2",
+        "generate", "--ckpt", ckpt, "--data", "synth",
         "--n", "4", "--seed", "5", "--out", out])
     run_twice("perturb", lambda out: [
-        "generate", "--ckpt", ckpt, "--data", "synth", "--T", "2",
+        "generate", "--ckpt", ckpt, "--data", "synth",
         "--n", "3", "--perturb", "0.1", "--seed", "6", "--out", out])
     run_twice("denoise", lambda out: [
-        "denoise", "--ckpt", ckpt, "--data", "synth", "--T", "2",
+        "denoise", "--ckpt", ckpt, "--data", "synth",
         "--noise", "speckle", "--steps", "2", "--n", "2", "--seed", "7",
         "--out", out])
     run_twice("ablate", lambda out: [

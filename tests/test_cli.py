@@ -11,7 +11,8 @@ import pytest
 
 import kpp
 from kpp import trainer as trainer_mod
-from kpp.cli import TRAIN_DEFAULTS, _config_flags, main
+from kpp.cli import TRAIN_DEFAULTS, _config_flags, _load_corpus, main
+from kpp.nets import MemoryVAE, load_checkpoint, save_checkpoint
 from kpp.trainer import METRICS_HEADER, MetricsRow
 
 FAST = ["--T", "2", "--K", "1", "--L", "8", "--epochs", "1",
@@ -48,12 +49,19 @@ COMMANDS = ["train", "generate", "denoise", "ablate"]
 
 def command_argv(command, ckpt_dir):
     """A fast run of one artifact-writing command."""
-    ckpt = ["--ckpt", str(ckpt_dir / "final.bin"), "--T", "2"]
+    ckpt = ["--ckpt", str(ckpt_dir / "final.bin")]
     return {"train": ["train", "--data", "synth", *FAST],
             "generate": ["generate", *ckpt, "--n", "1"],
             "denoise": ["denoise", *ckpt, "--n", "1", "--steps", "1"],
             "ablate": ["ablate", "--data", "synth", "--values", "on", "--seeds", "1",
                        *FAST]}[command]
+
+
+def with_config(src, dst, **entries):
+    """A copy of checkpoint src whose stored config also holds entries."""
+    arrays, config = load_checkpoint(src)
+    save_checkpoint(dst, arrays, dict(config, **entries))
+    return dst
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +255,7 @@ class TestGenerate:
     def test_plain_generation_artifacts(self, ckpt_dir, tmp_path):
         out = tmp_path / "gen"
         rc = run(["generate", "--ckpt", str(ckpt_dir / "final.bin"),
-                  "--data", "synth", "--T", "4", "--n", "3",
+                  "--data", "synth", "--n", "3",
                   "--seed", "2", "--out", str(out)])
         assert rc == 0
         pgms = sorted(p.name for p in out.glob("gen_*.pgm"))
@@ -259,7 +267,7 @@ class TestGenerate:
     def test_perturbed_generation_artifacts(self, ckpt_dir, tmp_path):
         out = tmp_path / "pgen"
         rc = run(["generate", "--ckpt", str(ckpt_dir / "final.bin"),
-                  "--data", "synth", "--T", "4", "--n", "4",
+                  "--data", "synth", "--n", "4",
                   "--perturb", "0.1", "--seed", "2", "--out", str(out)])
         assert rc == 0
         assert (out / "base.pgm").exists()
@@ -276,7 +284,7 @@ class TestGenerate:
     def test_bad_count_or_scale_rejected(self, ckpt_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "g"
         rc = run(["generate", "--ckpt", str(ckpt_dir / "final.bin"),
-                  "--data", "synth", "--T", "4", flag, value, "--out", str(out)])
+                  "--data", "synth", flag, value, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"kpp: error: {flag} must be")
@@ -287,7 +295,7 @@ class TestDenoise:
     def test_errors_csv_and_images(self, ckpt_dir, tmp_path):
         out = tmp_path / "dn"
         rc = run(["denoise", "--ckpt", str(ckpt_dir / "final.bin"),
-                  "--data", "synth", "--T", "4", "--noise", "salt_pepper",
+                  "--data", "synth", "--noise", "salt_pepper",
                   "--steps", "2", "--n", "2", "--seed", "3", "--out", str(out)])
         assert rc == 0
         rows = read_csv(out / "errors.csv")
@@ -309,6 +317,17 @@ class TestDenoise:
         argv = command_argv("denoise", ckpt_dir) + [flag, "0", "--out", str(out)]
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"kpp: error: {flag} must be >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,rule", [
+        ("--rate", "1.5", "in [0, 1]"), ("--rate", "-0.1", "in [0, 1]"),
+        ("--std", "-1", ">= 0"), ("--scale", "0", "> 0")])
+    def test_bad_noise_level_rejected(self, ckpt_dir, tmp_path, capsys, flag, value, rule):
+        """Every noise flag is checked, whichever --noise uses it."""
+        out = tmp_path / "d"
+        argv = command_argv("denoise", ckpt_dir) + [flag, value, "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"kpp: error: {flag} must be {rule}")
         assert not out.exists()
 
     def test_unknown_noise_kind(self, ckpt_dir, tmp_path):
@@ -355,6 +374,24 @@ class TestAblate:
                   "--out", str(tmp_path / "a")])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--axis", "T", "--values", "2,x"], "--values"),
+        (["--axis", "K", "--values", "1,0"], "--values"),
+        (["--axis", "memory", "--values", "on,maybe"], "--values"),
+        (["--axis", "Q"], "--axis")], ids=["T-x", "K-0", "memory-maybe", "Q"])
+    def test_bad_grid_rejected_before_training(self, tmp_path, monkeypatch, capsys,
+                                               argv, named):
+        """Every cell is checked before the manifest is written or any
+        cell trains."""
+        calls = []
+        monkeypatch.setattr(trainer_mod, "train", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "a"
+        assert exit_code(["ablate", "--data", "synth", *FAST, *argv, "--seeds", "1",
+                          "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_single_seed_rejected(self, tmp_path):
         """--seeds picks each cell's seed, so a --seed would go unused."""
         with pytest.raises(SystemExit) as exc:
@@ -371,7 +408,7 @@ class TestAblate:
 class TestEval:
     def test_prints_metrics(self, ckpt_dir, capsys):
         rc = run(["eval", "--ckpt", str(ckpt_dir / "final.bin"),
-                  "--data", "synth", "--T", "4", "--seed", "5"])
+                  "--data", "synth", "--seed", "5"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == ",".join(METRICS_HEADER)
@@ -389,6 +426,56 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             run(["eval", "--ckpt", str(ckpt_dir / "final.bin"), "--out", str(tmp_path)])
         assert exc.value.code == 1
+
+
+class TestCheckpointConfig:
+    """generate, denoise and eval take T and the model from the checkpoint."""
+
+    @pytest.mark.parametrize("command", ["generate", "denoise", "eval"])
+    def test_T_flag_rejected(self, ckpt_dir, tmp_path, capsys, command):
+        argv = (["eval", "--ckpt", str(ckpt_dir / "final.bin")] if command == "eval"
+                else command_argv(command, ckpt_dir) + ["--out", str(tmp_path / "o")])
+        assert exit_code(argv + ["--T", "2"]) == 1
+        assert "unrecognized arguments: --T 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_uses_checkpoint_T(self, tmp_path, capsys):
+        out = tmp_path / "t4"
+        i = FAST.index("--T")
+        fast_t4 = FAST[:i] + ["--T", "4"] + FAST[i + 2:]
+        assert run(["train", "--data", "synth", *fast_t4, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", str(out / "final.bin"), "--seed", "5"]) == 0
+        printed = capsys.readouterr().out.splitlines()[1]
+        _, test_set = _load_corpus("synth")
+        row = trainer_mod.eval_conditional(MemoryVAE.load(out / "final.bin"), test_set,
+                                           4, [5, 30])
+        row.seed = 5
+        assert mask_wall([METRICS_HEADER, printed.split(",")]) == \
+            mask_wall([METRICS_HEADER, [str(v) for v in row.as_list()]])
+
+    def test_retired_keys_evaluate_alike(self, ckpt_dir, tmp_path, capsys):
+        old = with_config(ckpt_dir / "final.bin", tmp_path / "old.bin",
+                          tsm=True, log_std_min=-7.0, log_std_max=2.0)
+        printed = []
+        for path in (ckpt_dir / "final.bin", old):
+            assert run(["eval", "--ckpt", str(path), "--seed", "5"]) == 0
+            header, row, bound = capsys.readouterr().out.splitlines()
+            printed.append((mask_wall([header.split(","), row.split(",")]), bound))
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("command", ["generate", "denoise", "eval"])
+    @pytest.mark.parametrize("key,value", [("foo", 1), ("T", "x"), ("memory_shape", 5),
+                                           ("tsm", False)])
+    def test_bad_config_exits_one(self, ckpt_dir, tmp_path, capsys, command, key, value):
+        bad = with_config(ckpt_dir / "final.bin", tmp_path / "bad.bin", **{key: value})
+        out = tmp_path / "o"
+        argv = [command, "--ckpt", str(bad)] + ([] if command == "eval" else ["--out", str(out)])
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"kpp: error: checkpoint {bad}: ")
+        assert repr(key) in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestReproducibility:
@@ -412,7 +499,7 @@ class TestReproducibility:
         for name in ("g1", "g2"):
             out = tmp_path / name
             rc = run(["generate", "--ckpt", str(ckpt_dir / "final.bin"),
-                      "--data", "synth", "--T", "4", "--n", "2",
+                      "--data", "synth", "--n", "2",
                       "--seed", "9", "--out", str(out)])
             assert rc == 0
             outs.append(out)

@@ -207,6 +207,8 @@ class TestInjectNoise:
             inject_noise(img, "salt_pepper", seed=0, rate=1.5)
         with pytest.raises(ValueError):
             inject_noise(img, "poisson", seed=0, scale=0.0)
+        with pytest.raises(ValueError, match="std"):
+            inject_noise(img, "speckle", seed=0, std=-1.0)
         with pytest.raises(ValueError):
             inject_noise(img, "gaussian_blur", seed=0)
         with pytest.raises(ValueError):

@@ -18,8 +18,7 @@ from kpp.data import synth_shapes
 from kpp.nets import MemoryVAE
 from kpp.trainer import TrainConfig, adam_step, eval_conditional, init_adam_state, lr_at
 
-from conftest import float64
-from test_objective import conv_cfg
+from conftest import conv_cfg, float64
 
 ARMS = {"bernoulli": {}, "gaussian": {"likelihood": "gaussian", "gaussian_std": 0.7},
         "no_memory": {"ablation": True}}

@@ -1,11 +1,15 @@
 """Model networks: temporal shift, writer, heads, decoder, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
 from kpp import autodiff as ad
 from kpp.nets import (
     CHECKPOINT_MAGIC,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     Episode,
     MemoryVAE,
     ModelConfig,
@@ -15,7 +19,7 @@ from kpp.nets import (
 )
 from kpp.objective import elbo_graph
 
-from conftest import fd_grad, float64, rel_err
+from conftest import conv_cfg, fd_grad, float64, randomize, rel_err
 
 
 def tiny_dense_cfg(**kw):
@@ -25,22 +29,6 @@ def tiny_dense_cfg(**kw):
                 dec_hidden=8, dense_nets=True)
     base.update(kw)
     return ModelConfig(**base)
-
-
-def tiny_conv_cfg(**kw):
-    base = dict(image_shape=(1, 8, 8), T=2, K=1, L=4,
-                memory_shape=(1, 16, 16), trace_size=(4, 4),
-                embed_dim=8, enc_channels=(8, 8, 8), key_hidden=4,
-                post_hidden=4, read_channels=(4, 4), dec_hidden=4,
-                dec_base_channels=4, dec_mid_channels=4,
-                mem_base_channels=8, writer_channels=(4, 4))
-    base.update(kw)
-    return ModelConfig(**base)
-
-
-def randomize(model, rng, scale=0.1):
-    for p in model.params.values():
-        p.data = (rng.normal(size=p.data.shape) * scale).astype(p.data.dtype)
 
 
 def n_params(model, prefix=""):
@@ -87,7 +75,7 @@ class TestModelConfig:
         assert cfg.image_shape == (1, 5, 5)
 
     def test_dict_roundtrip(self):
-        cfg = tiny_conv_cfg()
+        cfg = conv_cfg()
         again = ModelConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
@@ -161,7 +149,7 @@ class TestTsmShift:
 
 class TestEncode:
     def test_zero_episode_zero_embedding(self):
-        for cfg in (tiny_dense_cfg(), tiny_conv_cfg()):
+        for cfg in (tiny_dense_cfg(), conv_cfg()):
             model = MemoryVAE(cfg, seed=1)
             t = 2
             emb = model.encode(np.zeros((t,) + cfg.image_shape))
@@ -169,34 +157,26 @@ class TestEncode:
             assert np.array_equal(emb.data, np.zeros((t, cfg.embed_dim)))
 
     def test_wrong_image_shape_rejected(self):
-        model = MemoryVAE(tiny_conv_cfg(), seed=0)
+        model = MemoryVAE(conv_cfg(), seed=0)
         with pytest.raises(ValueError):
             model.encode(np.zeros((2, 1, 4, 4)))
 
-    def test_permutation_equivariance_without_tsm(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(tsm=False), seed=2)
-        x = rng.random((3, 1, 8, 8))
-        emb = model.encode(x).data
-        perm = [2, 0, 1]
-        emb_p = model.encode(x[perm]).data
-        assert np.max(np.abs(emb_p - emb[perm])) <= 1e-12
-
     def test_tsm_breaks_permutation_equivariance(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(tsm=True), seed=2)
+        model = MemoryVAE(conv_cfg(), seed=2)
         x = rng.random((3, 1, 8, 8))
         emb = model.encode(x).data
         emb_r = model.encode(x[::-1].copy()).data
         assert not np.allclose(emb_r, emb[::-1], atol=1e-8)
 
     def test_deterministic(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(), seed=3)
+        model = MemoryVAE(conv_cfg(), seed=3)
         x = rng.random((2, 1, 8, 8))
         assert np.array_equal(model.encode(x).data, model.encode(x).data)
 
     def test_episode_stack_matches_each_episode(self, rng):
         """Two stacked episodes embed row for row as each does alone; a
         shift across the flat B*T axis would mix them at the boundary."""
-        model = MemoryVAE(tiny_conv_cfg(), seed=3)
+        model = MemoryVAE(conv_cfg(), seed=3)
         randomize(model, rng, scale=0.5)
         x = rng.random((6, 1, 8, 8))
         both = model.encode(x, 3).data
@@ -207,7 +187,7 @@ class TestEncode:
 
 class TestWriteMemory:
     def test_permutation_invariance(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(), seed=4)
+        model = MemoryVAE(conv_cfg(), seed=4)
         emb = rng.normal(size=(5, 8))
         m0 = model.write_memory(ad.constant(emb)).data
         m1 = model.write_memory(ad.constant(emb[::-1].copy())).data
@@ -215,14 +195,14 @@ class TestWriteMemory:
         assert m0.shape == (1,) + model.config.memory_shape   # one episode, one memory
 
     def test_duplicate_rows_match_single(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(), seed=4)
+        model = MemoryVAE(conv_cfg(), seed=4)
         row = rng.normal(size=(1, 8))
         single = model.write_memory(ad.constant(row)).data
         double = model.write_memory(ad.constant(np.vstack([row, row]))).data
         assert np.array_equal(single, double)
 
     def test_distinct_episodes_distinct_memories(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(), seed=4)
+        model = MemoryVAE(conv_cfg(), seed=4)
         seen = set()
         for _ in range(100):
             emb = rng.normal(size=(2, 8))
@@ -231,7 +211,7 @@ class TestWriteMemory:
         assert len(seen) == 100
 
     def test_one_memory_per_episode(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(), seed=4)
+        model = MemoryVAE(conv_cfg(), seed=4)
         emb = rng.normal(size=(6, 8))
         both = model.write_memory(ad.constant(emb), 3).data
         assert both.shape == (2,) + model.config.memory_shape
@@ -240,14 +220,14 @@ class TestWriteMemory:
             assert np.max(np.abs(both[e] - alone[0])) <= 1e-12
 
     def test_ablation_model_has_no_writer(self):
-        model = MemoryVAE(tiny_conv_cfg(ablation=True), seed=0)
+        model = MemoryVAE(conv_cfg(ablation=True), seed=0)
         with pytest.raises(RuntimeError):
             model.write_memory(ad.constant(np.zeros((2, 8))))
 
 
 class TestGaussianHeads:
     def test_standard_normal_at_init(self, rng):
-        cfg = tiny_conv_cfg()
+        cfg = conv_cfg()
         model = MemoryVAE(cfg, seed=5)
         emb = ad.constant(rng.normal(size=(3, cfg.embed_dim)))
         kq = model.key_posterior(emb)
@@ -262,7 +242,7 @@ class TestGaussianHeads:
         assert np.array_equal(zp.log_std.data, np.zeros((3, cfg.L)))
 
     def test_ablation_prior_standard_normal_at_init(self, rng):
-        cfg = tiny_conv_cfg(ablation=True)
+        cfg = conv_cfg(ablation=True)
         model = MemoryVAE(cfg, seed=5)
         emb = ad.constant(rng.normal(size=(3, cfg.embed_dim)))
         d = model.ablation_prior(emb)
@@ -270,7 +250,7 @@ class TestGaussianHeads:
         assert np.array_equal(d.log_std.data, np.zeros((3, cfg.L)))
 
     def test_ablation_prior_per_episode(self, rng):
-        cfg = tiny_conv_cfg(ablation=True)
+        cfg = conv_cfg(ablation=True)
         model = MemoryVAE(cfg, seed=5)
         randomize(model, rng, scale=0.5)
         emb = rng.normal(size=(6, cfg.embed_dim))
@@ -287,13 +267,13 @@ class TestGaussianHeads:
         randomize(model, rng, scale=50.0)  # drive head outputs far out
         emb = ad.constant(rng.normal(size=(4, cfg.embed_dim)))
         d = model.latent_posterior(emb)
-        assert d.log_std.data.min() >= cfg.log_std_min - 1e-12
-        assert d.log_std.data.max() <= cfg.log_std_max + 1e-12
+        assert d.log_std.data.min() >= LOG_STD_MIN - 1e-12
+        assert d.log_std.data.max() <= LOG_STD_MAX + 1e-12
 
     def test_latent_posterior_gradient_fd(self, rng):
         cfg = tiny_dense_cfg()
         model = MemoryVAE(cfg, seed=7)
-        randomize(model, rng)
+        randomize(model, rng, scale=0.1)
         x = rng.normal(size=(3, cfg.embed_dim))
         pa = rng.normal(size=(3, cfg.L))
         pb = rng.normal(size=(3, cfg.L))
@@ -312,7 +292,7 @@ class TestGaussianHeads:
     def test_key_posterior_gradient_fd(self, rng):
         cfg = tiny_dense_cfg()
         model = MemoryVAE(cfg, seed=8)
-        randomize(model, rng)
+        randomize(model, rng, scale=0.1)
         x = rng.normal(size=(2, cfg.embed_dim))
         pa = rng.normal(size=(2, cfg.K, 3))
         xt = ad.parameter(x.copy())
@@ -327,12 +307,12 @@ class TestGaussianHeads:
 
 class TestReadoutPrior:
     def test_trace_count_mismatch_rejected(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(K=1), seed=0)
+        model = MemoryVAE(conv_cfg(K=1), seed=0)
         with pytest.raises(ValueError):
             model.readout_prior(ad.constant(rng.random((2, 3, 1, 4, 4))))
 
     def test_trace_shape_mismatch_rejected(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(), seed=0)
+        model = MemoryVAE(conv_cfg(), seed=0)
         with pytest.raises(ValueError):
             model.readout_prior(ad.constant(rng.random((2, 1, 1, 8, 8))))
         with pytest.raises(ValueError):
@@ -341,7 +321,7 @@ class TestReadoutPrior:
 
 class TestDecode:
     def test_output_shape_and_rank1_input(self, rng):
-        cfg = tiny_conv_cfg()
+        cfg = conv_cfg()
         model = MemoryVAE(cfg, seed=10)
         out = model.decode(ad.constant(rng.normal(size=(3, cfg.L))))
         assert out.shape == (3,) + cfg.image_shape
@@ -349,14 +329,14 @@ class TestDecode:
         assert out1.shape == (1,) + cfg.image_shape
 
     def test_wrong_latent_width_rejected(self, rng):
-        model = MemoryVAE(tiny_conv_cfg(L=4), seed=0)
+        model = MemoryVAE(conv_cfg(L=4), seed=0)
         with pytest.raises(ValueError):
             model.decode(ad.constant(rng.normal(size=(2, 5))))
 
     def test_gradient_fd(self, rng):
         cfg = tiny_dense_cfg()
         model = float64(MemoryVAE(cfg, seed=11))
-        randomize(model, rng)
+        randomize(model, rng, scale=0.1)
         z = rng.normal(size=(2, cfg.L))
         proj = rng.normal(size=(2,) + cfg.image_shape)
         zt = ad.parameter(z.copy())
@@ -370,8 +350,8 @@ class TestDecode:
 
 class TestArmsAndParity:
     def test_parameter_ownership(self):
-        mem_arm = MemoryVAE(tiny_conv_cfg(), seed=0)
-        abl_arm = MemoryVAE(tiny_conv_cfg(ablation=True), seed=0)
+        mem_arm = MemoryVAE(conv_cfg(), seed=0)
+        abl_arm = MemoryVAE(conv_cfg(ablation=True), seed=0)
         mem_heads = {n.split(".")[0] for n in mem_arm.params}
         abl_heads = {n.split(".")[0] for n in abl_arm.params}
         assert "abl" not in mem_heads
@@ -388,7 +368,7 @@ class TestArmsAndParity:
                                   abl_arm.params[name].data), name
 
     def test_parameter_parity_within_five_percent(self):
-        for cfg_fn in (ModelConfig, lambda **kw: tiny_conv_cfg(**kw)):
+        for cfg_fn in (ModelConfig, conv_cfg):
             mem_arm = cfg_fn()
             abl_arm = cfg_fn(ablation=True)
             n_mem = n_params(MemoryVAE(mem_arm, seed=0))
@@ -399,7 +379,7 @@ class TestArmsAndParity:
             assert abs(n_mem - n_abl) / n_mem <= 0.05
 
     def test_n_params_prefix(self):
-        model = MemoryVAE(tiny_conv_cfg(), seed=0)
+        model = MemoryVAE(conv_cfg(), seed=0)
         total = n_params(model)
         by_head = sum(n_params(model, h + ".")
                       for h in ("enc", "mem", "key", "post", "read", "dec"))
@@ -407,16 +387,16 @@ class TestArmsAndParity:
         assert n_params(model, "abl.") == 0
 
     def test_trainable_sorted(self):
-        model = MemoryVAE(tiny_conv_cfg(), seed=0)
+        model = MemoryVAE(conv_cfg(), seed=0)
         names = [p.name for p in model.trainable()]
         assert names == sorted(model.params)
 
     def test_same_seed_same_init(self):
-        a = MemoryVAE(tiny_conv_cfg(), seed=13)
-        b = MemoryVAE(tiny_conv_cfg(), seed=13)
+        a = MemoryVAE(conv_cfg(), seed=13)
+        b = MemoryVAE(conv_cfg(), seed=13)
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
-        c = MemoryVAE(tiny_conv_cfg(), seed=14)
+        c = MemoryVAE(conv_cfg(), seed=14)
         assert any(not np.array_equal(a.params[n].data, c.params[n].data)
                    for n in a.params)
 
@@ -437,15 +417,15 @@ class TestCheckpoint:
             assert np.array_equal(loaded[k], arrays[k])
 
     def test_config_roundtrip(self, tmp_path):
-        cfg = tiny_conv_cfg()
+        cfg = conv_cfg()
         p = tmp_path / "ck.bin"
         save_checkpoint(p, {"x": np.zeros(2)}, cfg.to_dict())
         _, loaded = load_checkpoint(p)
         assert ModelConfig.from_dict(loaded) == cfg
 
     def test_model_roundtrip(self, tmp_path, rng):
-        model = MemoryVAE(tiny_conv_cfg(), seed=15)
-        randomize(model, rng)
+        model = MemoryVAE(conv_cfg(), seed=15)
+        randomize(model, rng, scale=0.1)
         p = tmp_path / "model.bin"
         model.save(p)
         again = MemoryVAE.load(p)
@@ -458,8 +438,8 @@ class TestCheckpoint:
     def test_load_makes_no_draws(self, tmp_path, rng, monkeypatch):
         """load builds the model straight from the checkpoint arrays: no
         initial values are drawn, and the parameters equal the saved ones."""
-        model = MemoryVAE(tiny_conv_cfg(), seed=15)
-        randomize(model, rng)
+        model = MemoryVAE(conv_cfg(), seed=15)
+        randomize(model, rng, scale=0.1)
         p = tmp_path / "model.bin"
         model.save(p)
         saved, _ = load_checkpoint(p)
@@ -477,7 +457,7 @@ class TestCheckpoint:
     def test_float64_checkpoint_loads_as_float32(self, tmp_path, rng):
         """A checkpoint written the old way, float64 parameters and a config
         with no dtype entry, loads as a float32 model."""
-        cfg = tiny_conv_cfg()
+        cfg = conv_cfg()
         assert not any("dtype" in key for key in cfg.to_dict())
         arrays = {name: rng.normal(size=p.data.shape)
                   for name, p in MemoryVAE(cfg, seed=0).params.items()}
@@ -488,9 +468,34 @@ class TestCheckpoint:
             assert model.params[name].data.dtype == np.float32
             assert np.array_equal(model.params[name].data, arr.astype(np.float32))
 
+    def test_retired_keys_load_at_built_values(self, tmp_path):
+        """Checkpoints written before tsm and the log-std bounds were fixed
+        store them at the values every model is now built with."""
+        model = MemoryVAE(conv_cfg(), seed=3)
+        p = tmp_path / "old.bin"
+        save_checkpoint(p, model.state_arrays(), dict(
+            model.config.to_dict(), tsm=True, log_std_min=-7.0, log_std_max=2.0))
+        again = MemoryVAE.load(p)
+        assert again.config == model.config
+        for name in model.params:
+            assert np.array_equal(again.params[name].data, model.params[name].data)
+
+    @pytest.mark.parametrize("key,value", [
+        ("tsm", False), ("log_std_min", -5.0), ("log_std_max", 3.0), ("foo", 1),
+        ("T", "x"), ("T", 2.0), ("ablation", 1), ("memory_shape", 5),
+        ("memory_shape", [1, 16])])
+    def test_bad_config_entry_rejected(self, tmp_path, key, value):
+        """A retired key at another value, an unknown key or a value of the
+        wrong type is a ValueError naming the checkpoint and the key."""
+        model = MemoryVAE(conv_cfg(), seed=3)
+        p = tmp_path / "bad.bin"
+        save_checkpoint(p, model.state_arrays(), dict(model.config.to_dict(), **{key: value}))
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(p))}: .*{key!r}"):
+            MemoryVAE.load(p)
+
     def test_load_arrays_keeps_model_dtype(self, rng):
-        arrays = MemoryVAE(tiny_conv_cfg(), seed=1).state_arrays()
-        model = float64(MemoryVAE(tiny_conv_cfg(), seed=0))
+        arrays = MemoryVAE(conv_cfg(), seed=1).state_arrays()
+        model = float64(MemoryVAE(conv_cfg(), seed=0))
         model.load_arrays(arrays)
         for name, arr in arrays.items():
             assert model.params[name].data.dtype == np.float64
@@ -512,14 +517,14 @@ class TestCheckpoint:
             load_checkpoint(q)
 
     def test_missing_parameter(self, tmp_path):
-        model = MemoryVAE(tiny_conv_cfg(), seed=0)
+        model = MemoryVAE(conv_cfg(), seed=0)
         arrays = model.state_arrays()
         arrays.pop("enc.fc.w")
         with pytest.raises(KeyError, match="enc.fc.w"):
             model.load_arrays(arrays)
 
     def test_shape_mismatch(self):
-        model = MemoryVAE(tiny_conv_cfg(), seed=0)
+        model = MemoryVAE(conv_cfg(), seed=0)
         arrays = model.state_arrays()
         arrays["enc.fc.w"] = np.zeros((2, 2))
         with pytest.raises(ValueError, match="enc.fc.w"):
@@ -534,8 +539,8 @@ class TestCheckpoint:
 
 class TestEndToEndGradient:
     def test_twenty_parameters_against_fd(self, rng):
-        model = float64(MemoryVAE(tiny_conv_cfg(), seed=16))
-        randomize(model, rng)
+        model = float64(MemoryVAE(conv_cfg(), seed=16))
+        randomize(model, rng, scale=0.1)
         images = (rng.random((2, 1, 8, 8)) < 0.5).astype(np.float64)
         ep = Episode(images=images, dataset_ids=[0, 1])
 

@@ -11,7 +11,7 @@ import pytest
 from kpp import autodiff as ad
 from kpp.autodiff import NonFiniteError
 from kpp.data import synth_shapes
-from kpp.nets import Episode, MemoryVAE, ModelConfig
+from kpp.nets import LOG_STD_MAX, LOG_STD_MIN, Episode, MemoryVAE, ModelConfig
 from kpp.objective import (
     ElboBreakdown,
     denoise,
@@ -23,7 +23,7 @@ from kpp.objective import (
 )
 from kpp.stn import sample_traces
 
-from conftest import float64, rel_err
+from conftest import conv_cfg, float64, randomize, rel_err
 from test_stn import reference_crop
 
 
@@ -34,22 +34,6 @@ def hand_cfg(**kw):
                 dec_hidden=2, dense_nets=True)
     base.update(kw)
     return ModelConfig(**base)
-
-
-def conv_cfg(**kw):
-    base = dict(image_shape=(1, 8, 8), T=2, K=1, L=4,
-                memory_shape=(1, 16, 16), trace_size=(4, 4),
-                embed_dim=8, enc_channels=(8, 8, 8), key_hidden=4,
-                post_hidden=4, read_channels=(4, 4), dec_hidden=4,
-                dec_base_channels=4, dec_mid_channels=4,
-                mem_base_channels=8, writer_channels=(4, 4))
-    base.update(kw)
-    return ModelConfig(**base)
-
-
-def randomize(model, rng, scale=0.5):
-    for p in model.params.values():
-        p.data = (rng.normal(size=p.data.shape) * scale).astype(p.data.dtype)
 
 
 def softplus_np(x):
@@ -69,7 +53,7 @@ class HandOracle:
     def head(self, h, prefix, d):
         out = self.dense(h, prefix)
         mean = out[:, :d]
-        ls = np.clip(out[:, d:2 * d], self.cfg.log_std_min, self.cfg.log_std_max)
+        ls = np.clip(out[:, d:2 * d], LOG_STD_MIN, LOG_STD_MAX)
         return mean, ls
 
     def encode(self, x):
@@ -191,7 +175,7 @@ class TestHandModelOracle:
     def test_straight_line_numpy_match(self, likelihood, rng):
         cfg = hand_cfg(likelihood=likelihood, gaussian_std=0.7)
         model = float64(MemoryVAE(cfg, seed=3))
-        randomize(model, rng)
+        randomize(model, rng, scale=0.5)
         if likelihood == "bernoulli":
             images = np.array([1.0, 0.0]).reshape(2, 1, 1, 1)
         else:
@@ -214,7 +198,7 @@ class TestHandModelOracle:
     def test_trace_path_matches_reference_crop(self, rng):
         # ties the in-graph trace extraction to the brute-force crop oracle
         model = float64(MemoryVAE(hand_cfg(T=3, K=2), seed=4))
-        randomize(model, rng)
+        randomize(model, rng, scale=0.5)
         memory = model.write_memory(model.encode(ad.constant(rng.random((3, 1, 1, 1)))))
         keys = np.tanh(rng.normal(size=(3, 2, 3)))
         traces = read_memory(model, memory, ad.constant(keys))
@@ -229,7 +213,7 @@ class TestBoundAndUnbiasedness:
     def test_mc_mean_matches_oracle_and_stays_below_lnp(self, rng):
         cfg = hand_cfg(T=1)
         model = MemoryVAE(cfg, seed=5)
-        randomize(model, rng)
+        randomize(model, rng, scale=0.5)
         x = np.array([1.0]).reshape(1, 1, 1, 1)
         oracle = HandOracle(model)
         emb = oracle.encode(x)

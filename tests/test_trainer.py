@@ -27,8 +27,7 @@ from kpp.trainer import (
     write_metrics,
 )
 
-from conftest import float64, rel_err
-from test_objective import conv_cfg
+from conftest import conv_cfg, float64, rel_err
 
 
 def small_train_cfg(**kw):
