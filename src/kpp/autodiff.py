@@ -97,6 +97,21 @@ def make_node(op_name, data, parents, backward_fn):
     )
 
 
+def _biased(op_name, out, parents, backward_fn, bias, axes):
+    """make_node for an op that adds bias, unless None, into out's axis 1 in place."""
+    if bias is None:
+        return make_node(op_name, out, parents, backward_fn)
+    if bias.shape != out.shape[1:2]:
+        raise ValueError(f"{op_name} bias {bias.shape} does not match {out.shape[1]} channels")
+    out += bias.data.reshape(bias.shape + (1,) * (out.ndim - 2))
+
+    def bwd(gy):
+        backward_fn(gy)
+        accumulate(bias, gy.sum(axis=axes))
+
+    return make_node(op_name, out, parents + (bias,), bwd)
+
+
 def accumulate(node, g):
     """Add g into node.grad (allocated as zeros on first touch)."""
     if not node.requires_grad:
@@ -164,7 +179,8 @@ def neg(x):
     return make_node("neg", -x.data, (x,), bwd)
 
 
-def matmul(a, b):
+def matmul(a, b, *, bias=None):
+    """a @ b of 2-D operands, plus bias (b's width) on each row when given."""
     a, b = _wrap(a, b), _wrap(b, a)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
@@ -176,7 +192,7 @@ def matmul(a, b):
         accumulate(a, gy @ b.data.T)
         accumulate(b, a.data.T @ gy)
 
-    return make_node("matmul", out, (a, b), bwd)
+    return _biased("matmul", out, (a, b), bwd, bias, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +294,18 @@ def concat(parts, axis=0):
 def slice_(x, idx):
     x = _wrap(x)
     out = x.data[idx]
-    if out.base is not None or np.shares_memory(out, x.data):
+    if view := np.may_share_memory(out, x.data):  # a basic slice: each entry once
         out = out.copy()
 
     def bwd(gy):
-        # one bin per entry of x, so an entry that idx picks twice gets both
-        pos = np.arange(x.data.size).reshape(x.shape)[idx]
-        g = np.bincount(pos.ravel(), weights=gy.ravel(), minlength=x.data.size)
-        accumulate(x, g.reshape(x.shape).astype(x.data.dtype, copy=False))
+        if view:
+            g = np.zeros_like(x.data)
+            g[idx] = gy
+        else:  # one bin per entry of x, so an entry that idx picks twice gets both
+            pos = np.arange(x.data.size).reshape(x.shape)[idx]
+            g = np.bincount(pos.ravel(), weights=gy.ravel(), minlength=x.data.size)
+            g = g.reshape(x.shape).astype(x.data.dtype, copy=False)
+        accumulate(x, g)
 
     return make_node("slice", out, (x,), bwd)
 
@@ -323,8 +343,8 @@ def mean_(x, axis=None, keepdims=False):
 # convolution
 
 
-def conv2d(x, w, stride=1, pad=0):
-    """2-D correlation of x (N,Ci,H,W) with w (Co,Ci,kh,kw), zero padding."""
+def conv2d(x, w, stride=1, pad=0, *, bias=None):
+    """2-D correlation of x (N,Ci,H,W) with w (Co,Ci,kh,kw) plus bias (Co,), zero padding."""
     x, w = _wrap(x), _wrap(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -342,14 +362,14 @@ def conv2d(x, w, stride=1, pad=0):
             accumulate(x, kernels.conv2d_input_grad(gy, wc, stride, pad, h, wid))
         accumulate(w, kernels.conv2d_kernel_grad(gy, xc, stride, pad, kh, kw))
 
-    return make_node("conv2d", out, (x, w), bwd)
+    return _biased("conv2d", out, (x, w), bwd, bias, (0, 2, 3))
 
 
-def conv_transpose2d(x, w, stride=1, pad=0):
-    """Transposed 2-D convolution; x (N,Ci,H,W), w (Ci,Co,kh,kw).
+def conv_transpose2d(x, w, stride=1, pad=0, *, bias=None):
+    """Transposed 2-D convolution; x (N,Ci,H,W), w (Ci,Co,kh,kw), bias (Co,).
 
-    Output spatial size is (H-1)*stride - 2*pad + kh.  Exact adjoint of
-    conv2d with the same stride/pad.
+    Output spatial size is (H-1)*stride - 2*pad + kh.  Without a bias, the
+    exact adjoint of conv2d with the same stride/pad.
     """
     x, w = _wrap(x), _wrap(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -370,7 +390,7 @@ def conv_transpose2d(x, w, stride=1, pad=0):
         accumulate(x, kernels.conv2d_forward(gy, wc, stride, pad))
         accumulate(w, kernels.conv2d_kernel_grad(xc, gy, stride, pad, kh, kw))
 
-    return make_node("conv_transpose2d", out, (x, w), bwd)
+    return _biased("conv_transpose2d", out, (x, w), bwd, bias, (0, 2, 3))
 
 
 def bilinear_sample(images, grid):
@@ -444,5 +464,10 @@ def zero_grad(tensors):
 
 
 def clamp(x, lo, hi):
-    """Differentiable clamp composed of relu ops (unit gradient inside range)."""
-    return sub(add(x, relu(sub(lo, x))), relu(sub(x, hi)))
+    """x clipped to [lo, hi]; unit gradient inside, boundary included."""
+    x = _wrap(x)
+
+    def bwd(gy):
+        accumulate(x, gy * ((x.data >= lo) & (x.data <= hi)))
+
+    return make_node("clamp", np.clip(x.data, lo, hi), (x,), bwd)

@@ -144,9 +144,14 @@ def _train_config(args, train_set, seed):
 
 def cmd_train(args, argv):
     out_dir = args.out or os.path.join("runs", "train")
-    _write_manifest(out_dir, argv, args)
-    train_set, test_set = _load_corpus(args.data, args.binarize)
+    try:
+        train_set, test_set = _load_corpus(args.data, args.binarize)
+    except (OSError, ValueError):
+        _write_manifest(out_dir, argv, args)  # a run whose data cannot load keeps its record
+        raise
     config = _train_config(args, train_set, args.seed)
+    data_mod.check_episode_length(args.T, train_set, test_set, name="--T")
+    _write_manifest(out_dir, argv, args)
     _, history = trainer_mod.train(
         config, train_set, test_set, out_dir=out_dir,
         log=lambda msg: print(msg, flush=True),
@@ -271,6 +276,8 @@ def cmd_ablate(args, argv):
     train_set, test_set = _load_corpus(args.data, args.binarize)
     base = _train_config(args, train_set, seeds[0])
     models = [_ablate_model(base.model, args.axis, value) for value in values]
+    data_mod.check_episode_length(max(m.T for m in models), train_set, test_set,
+                                  name="--values" if args.axis == "T" else "--T")
     out_dir = args.out or os.path.join("runs", "ablate")
     _write_manifest(out_dir, argv, args)
     rows = []

@@ -151,14 +151,20 @@ def inject_noise(image, kind, seed, rate=0.1, std=0.3, scale=30.0):
     raise ValueError(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
 
 
+def check_episode_length(t, *splits, name="episode length"):
+    """Raise ValueError, naming what set t, unless every split holds t images."""
+    for split in splits:
+        if len(split) < t:
+            raise ValueError(f"{name} {t} exceeds the {split.split} split of {len(split)} images")
+
+
 class EpisodeSampler:
     """Draws exchangeable episodes of T distinct images from a dataset."""
 
     def __init__(self, dataset: Dataset, t: int, seed):
         if t < 1:
             raise ValueError(f"episode length must be >= 1, got {t}")
-        if t > len(dataset):
-            raise ValueError(f"episode length {t} exceeds dataset size {len(dataset)}")
+        check_episode_length(t, dataset)
         self.dataset = dataset
         self.t = t
         self._rng = np.random.default_rng(seed)

@@ -2,7 +2,7 @@
 backward, in NumPy.
 
 The convolutions run as BLAS matrix products: the forward pass and the
-kernel gradient over an im2col matrix built from a ``sliding_window_view``
+kernel gradient over an im2col matrix built from a strided window view
 of the padded input (one matrix per image for the forward pass, one for
 the whole batch for the kernel gradient), the input gradient as one
 product per kernel tap added into its strided window.  The three bilinear
@@ -18,23 +18,18 @@ out; float64 in, float64 out), and its temporaries take that dtype too.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-
-def _padded(x, pad):
-    if not pad:
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    return xp
 
 
 def _windows(x, pad, kh, kw, stride, ho, wo):
-    """The windows of a strided correlation over zero-padded x, as a view
-    (N, Ci, ho, wo, kh, kw)."""
-    win = sliding_window_view(_padded(x, pad), (kh, kw), axis=(2, 3))
-    return win[:, :, :(ho - 1) * stride + 1:stride, :(wo - 1) * stride + 1:stride]
+    """Read-only (N, Ci, ho, wo, kh, kw) windows of a strided correlation over zero-padded x."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    sn, sc, sh, sw = xp.strides
+    win = np.ndarray((n, c, ho, wo, kh, kw), xp.dtype, xp, 0,
+                     (sn, sc, sh * stride, sw * stride, sh, sw))
+    win.flags.writeable = False
+    return win
 
 
 def conv2d_forward(x, w, stride, pad):

@@ -17,6 +17,7 @@ float64 through the same code.  Checkpoints hold float64 on disk, which
 stores float32 values exactly.
 """
 
+import functools
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -141,15 +142,20 @@ def tsm_shift(features: Tensor, t=None) -> Tensor:
     fold = c // TSM_FOLD_DIV
     if fold == 0:
         return features
-    # Row 0 of the padded stack is zeros and row r + 1 holds features[r]; one
-    # gather picks each (row, channel)'s source row.
+    zeros = ad.constant(np.zeros((1,) + features.shape[1:], dtype=features.data.dtype))
+    return ad.concat([zeros, features], axis=0)[_tsm_source(n, c, t, fold), np.arange(c)]
+
+
+@functools.lru_cache(maxsize=None)
+def _tsm_source(n, c, t, fold):
+    """tsm_shift's read-only gather: each (row, channel)'s row in [zeros; features]."""
     step = np.arange(n) % t
     rows = np.arange(1, n + 1)
     src = np.repeat(rows[:, None], c, axis=1)
     src[:, :fold] = np.where(step > 0, rows - 1, 0)[:, None]
     src[:, fold:2 * fold] = np.where(step < t - 1, rows + 1, 0)[:, None]
-    zeros = ad.constant(np.zeros((1,) + features.shape[1:], dtype=features.data.dtype))
-    return ad.concat([zeros, features], axis=0)[src, np.arange(c)]
+    src.flags.writeable = False
+    return src
 
 
 def _episode_length(n, t):
@@ -303,17 +309,15 @@ class MemoryVAE:
     # -- layer helpers ----------------------------------------------------
 
     def _dense(self, x, prefix):
-        return ad.add(ad.matmul(x, self.params[f"{prefix}.w"]), self.params[f"{prefix}.b"])
+        return ad.matmul(x, self.params[f"{prefix}.w"], bias=self.params[f"{prefix}.b"])
 
     def _conv(self, x, prefix, stride=2, pad=1):
-        y = ad.conv2d(x, self.params[f"{prefix}.w"], stride=stride, pad=pad)
-        b = self.params[f"{prefix}.b"]
-        return ad.add(y, ad.reshape(b, (1, b.shape[0], 1, 1)))
+        return ad.conv2d(x, self.params[f"{prefix}.w"], stride=stride, pad=pad,
+                         bias=self.params[f"{prefix}.b"])
 
     def _convT(self, x, prefix, stride=2, pad=1):
-        y = ad.conv_transpose2d(x, self.params[f"{prefix}.w"], stride=stride, pad=pad)
-        b = self.params[f"{prefix}.b"]
-        return ad.add(y, ad.reshape(b, (1, b.shape[0], 1, 1)))
+        return ad.conv_transpose2d(x, self.params[f"{prefix}.w"], stride=stride, pad=pad,
+                                   bias=self.params[f"{prefix}.b"])
 
     def _gauss_head(self, h, prefix, event_shape):
         out = self._dense(h, prefix)

@@ -8,18 +8,23 @@ coordinates into a differentiable crop.  Gradients reach only the
 memory cells actually touched by the sampling footprint.
 """
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def _target_coords(out_h, out_w):
-    """Normalized target coordinates (h, w, 2) in (x, y) order, corners at +-1."""
+@functools.lru_cache(maxsize=None)
+def _target_coords(out_h, out_w, dtype):
+    """Normalized target coordinates (h, w, 2) in (x, y) order, corners at +-1; read-only."""
     tx = np.linspace(-1.0, 1.0, out_w) if out_w > 1 else np.zeros(1)
     ty = np.linspace(-1.0, 1.0, out_h) if out_h > 1 else np.zeros(1)
     gy, gx = np.meshgrid(ty, tx, indexing="ij")
-    return np.stack([gx, gy], axis=-1)
+    coords = np.stack([gx, gy], axis=-1).astype(dtype)
+    coords.flags.writeable = False
+    return coords
 
 
 def grid_from_keys(keys: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -32,7 +37,7 @@ def grid_from_keys(keys: Tensor, out_h: int, out_w: int) -> Tensor:
     b, k = keys.shape[0], keys.shape[1]
     scale = ad.reshape(keys[..., 0:1], (b, k, 1, 1, 1))
     shift = ad.reshape(keys[..., 1:3], (b, k, 1, 1, 2))
-    return ad.add(ad.mul(scale, _target_coords(out_h, out_w)), shift)
+    return ad.add(ad.mul(scale, _target_coords(out_h, out_w, keys.data.dtype)), shift)
 
 
 def sample_traces(memory: Tensor, keys: Tensor, out_size) -> Tensor:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset, EpisodeSampler
+from .data import Dataset, EpisodeSampler, check_episode_length
 from .nets import MemoryVAE, ModelConfig
 from .objective import elbo_graph
 
@@ -135,9 +135,8 @@ def eval_conditional(model: MemoryVAE, dataset: Dataset, t: int, seed) -> Metric
     the conditional bound on the same episode; averages over episodes.
 
     Episodes are scored a few at a time, one forward-only graph per chunk."""
+    check_episode_length(t, dataset)
     n = len(dataset)
-    if n < t:
-        raise ValueError(f"split of {n} images cannot form episodes of length {t}")
     rng = np.random.default_rng(seed)
     episodes = rng.permutation(n)[:n // t * t].reshape(-1, t)
     start = time.perf_counter()
@@ -165,6 +164,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     sits 10x below its initial value for three consecutive epochs, or as
     soon as a training step's forward pass or update is non-finite.
     """
+    check_episode_length(config.model.T, train_set, test_set)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     model = MemoryVAE(config.model, seed=config.seed)
@@ -198,9 +198,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
                 ad.backward(loss)
             acc += len(episodes) * np.array((bd.recon_ll, bd.kl_z, bd.kl_y))
             n_acc += len(episodes)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for p in params]
-            adam_step(params, grads, state, lr, config.weight_decay)
+            adam_step(params, [p.grad for p in params], state, lr, config.weight_decay)
             # the graph and its gradients must not outlive the step: the
             # epoch's eval would build its own graph next to them
             del loss

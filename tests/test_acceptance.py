@@ -121,6 +121,13 @@ DIFF_OPS = [
      lambda rng: [r(rng, 1, 2, 4, 4), r(rng, 2, 2, 3, 3) * 0.5]),
     ("bilinear_sample", ad.bilinear_sample,
      lambda rng: [r(rng, 2, 2, 5, 5), _clean_grid(rng, 2, 2, 3, 3, 2)]),
+    ("matmul_bias", lambda a, b, c: ad.matmul(a, b, bias=c),
+     lambda rng: [r(rng, 3, 4), r(rng, 4, 2), r(rng, 2)]),
+    ("conv2d_bias", lambda a, b, c: ad.conv2d(a, b, stride=2, pad=1, bias=c),
+     lambda rng: [r(rng, 1, 2, 6, 6), r(rng, 3, 2, 3, 3) * 0.5, r(rng, 3)]),
+    ("conv_transpose2d_bias",
+     lambda a, b, c: ad.conv_transpose2d(a, b, stride=2, pad=1, bias=c),
+     lambda rng: [r(rng, 1, 2, 4, 4), r(rng, 2, 2, 3, 3) * 0.5, r(rng, 2)]),
 ]
 
 

@@ -99,6 +99,22 @@ def test_sum_mean_gradients(axis, keepdims):
             assert worst <= 1e-4
 
 
+@pytest.mark.parametrize("idx", [(slice(1, 3), slice(None, 2)), (Ellipsis, 2),
+                                 (np.array([0, 0, 2, 0]), slice(1, 4))],
+                         ids=["basic", "basic_int", "fancy_repeats"])
+def test_slice_gradient_scatters_exactly(rng, idx):
+    """A basic slice's gradient is gy in its entries and zero elsewhere; a
+    fancy index adds the gradients of an entry it picks more than once."""
+    x = ad.parameter(r(rng, 4, 5))
+    out = ad.slice_(x, idx)
+    assert not np.shares_memory(out.data, x.data)
+    gy = r(rng, *out.shape)
+    ad.backward(ad.sum_(ad.mul(out, ad.constant(gy))))
+    expect = np.zeros((4, 5))
+    np.add.at(expect, idx, gy)
+    assert np.array_equal(x.grad, expect)
+
+
 def test_clamp_gradient_and_boundaries():
     for draw in range(50):
         rng = np.random.default_rng(3500 + draw)
@@ -108,10 +124,13 @@ def test_clamp_gradient_and_boundaries():
             continue
         worst = check_op_gradient(lambda t: ad.clamp(t, -1.5, 1.5), [x], seed=draw)
         assert worst <= 1e-4
-    # pass-through region has exactly unit gradient, clipped region exactly zero
-    x = ad.parameter(np.array([-3.0, 0.0, 3.0]))
-    ad.backward(ad.sum_(ad.clamp(x, -1.5, 1.5)))
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
+    # pass-through region, boundary included, has exactly unit gradient,
+    # clipped region exactly zero; one graph node
+    x = ad.parameter(np.array([-3.0, -1.5, 0.0, 1.5, 3.0]))
+    out = ad.clamp(x, -1.5, 1.5)
+    assert out._parents == (x,)
+    ad.backward(ad.sum_(out))
+    assert np.array_equal(x.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
     assert np.array_equal(ad.clamp(ad.constant([-3.0, 0.2, 3.0]), -1.5, 1.5).data,
                           [-1.5, 0.2, 1.5])
 
@@ -138,6 +157,58 @@ def test_conv_transpose2d_gradient(stride, pad):
         worst = check_op_gradient(
             lambda a, b: ad.conv_transpose2d(a, b, stride=stride, pad=pad), [x, w], seed=draw)
         assert worst <= 1e-4
+
+
+# (name, op(a, b, bias=None), operand shapes with the bias last)
+BIASED_OPS = [
+    ("matmul", lambda a, b, bias=None: ad.matmul(a, b, bias=bias), [(3, 4), (4, 2), (2,)]),
+    ("conv2d", lambda a, b, bias=None: ad.conv2d(a, b, stride=2, pad=1, bias=bias),
+     [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
+    ("conv_transpose2d",
+     lambda a, b, bias=None: ad.conv_transpose2d(a, b, stride=2, pad=1, bias=bias),
+     [(2, 3, 4, 4), (3, 2, 3, 3), (2,)]),
+]
+BIASED_IDS = [b[0] for b in BIASED_OPS]
+
+
+@pytest.mark.parametrize("name,op,shapes", BIASED_OPS, ids=BIASED_IDS)
+def test_biased_gradients(name, op, shapes):
+    for draw in range(25):
+        rng = np.random.default_rng(4200 + draw)
+        worst = check_op_gradient(op, [r(rng, *s) for s in shapes], seed=draw)
+        assert worst <= 1e-4, f"{name} draw {draw}: rel err {worst}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name,op,shapes", BIASED_OPS, ids=BIASED_IDS)
+def test_biased_op_equals_op_plus_bias(rng, name, op, shapes, dtype):
+    """One biased node gives the value and gradients, bit for bit, of the
+    op followed by a reshaped bias add."""
+    arrays = [r(rng, *s).astype(dtype) for s in shapes]
+    proj = None
+    results = []
+    for fused in (True, False):
+        a, b, bias = (ad.parameter(x.copy()) for x in arrays)
+        if fused:
+            out = op(a, b, bias=bias)
+        else:
+            y = op(a, b)
+            out = ad.add(y, bias if len(y.shape) == 2 else ad.reshape(bias, (1, -1, 1, 1)))
+        if proj is None:
+            proj = r(rng, *out.shape).astype(dtype)
+        ad.backward(ad.sum_(ad.mul(out, ad.constant(proj))))
+        results.append([out.data, a.grad, b.grad, bias.grad])
+    for got, expect in zip(*results):
+        assert got.dtype == expect.dtype == dtype and np.array_equal(got, expect)
+
+
+def test_bias_shape_mismatch_rejected(rng):
+    with pytest.raises(ValueError, match="bias"):
+        ad.conv2d(ad.constant(r(rng, 1, 2, 4, 4)), ad.constant(r(rng, 3, 2, 3, 3)),
+                  bias=ad.constant(r(rng, 2)))
+    with pytest.raises(ValueError, match="bias"):
+        ad.matmul(ad.constant(r(rng, 2, 3)), ad.constant(r(rng, 3, 4)),
+                  bias=ad.constant(r(rng, 1)))
 
 
 def test_conv_transpose_is_conv_adjoint(rng):

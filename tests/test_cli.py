@@ -119,6 +119,20 @@ class TestTrain:
         assert (out / "manifest.txt").exists()
         assert not (out / "metrics.csv").exists()
 
+    def test_T_beyond_a_split_rejected_before_writing(self, tmp_path, monkeypatch, capsys):
+        """synth's test split holds 64 images: --T 100 exits 1 naming --T,
+        with no run directory and no training."""
+        calls = []
+        monkeypatch.setattr(trainer_mod, "train", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "t100"
+        i = FAST.index("--T")
+        assert run(["train", "--data", "synth", *FAST[:i], "--T", "100", *FAST[i + 2:],
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kpp: error: --T 100 exceeds the test split of 64 images")
+        assert calls == []
+        assert not out.exists()
+
     def test_label_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "labels.idx"
         path.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([3, 1, 4]))
@@ -378,7 +392,10 @@ class TestAblate:
         (["--axis", "T", "--values", "2,x"], "--values"),
         (["--axis", "K", "--values", "1,0"], "--values"),
         (["--axis", "memory", "--values", "on,maybe"], "--values"),
-        (["--axis", "Q"], "--axis")], ids=["T-x", "K-0", "memory-maybe", "Q"])
+        (["--axis", "T", "--values", "2,300"], "--values 300 exceeds the train split"),
+        (["--axis", "K", "--values", "1,2", "--T", "65"], "--T 65 exceeds the test split"),
+        (["--axis", "Q"], "--axis")],
+        ids=["T-x", "K-0", "memory-maybe", "T-300", "T-65", "Q"])
     def test_bad_grid_rejected_before_training(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         """Every cell is checked before the manifest is written or any

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import kernels_reference as ref
 from kpp import kernels
@@ -203,6 +204,27 @@ def _table_grids():
     py, px = np.meshgrid(np.arange(17), np.arange(9), indexing="ij")
     on_pixels = np.stack([px / 4.0 - 1, py / 8.0 - 1], axis=-1)[None, None]
     yield np.repeat(on_pixels, 3, axis=0), 3, 17, 9
+
+
+class TestWindows:
+    """The im2col window view matches NumPy's sliding_window_view."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_matches_sliding_window_view(self, rng, stride, pad, layout):
+        x = rng.normal(size=(2, 3, 7, 8)).astype(np.float32)
+        if layout == "transposed":
+            x = x.transpose(0, 1, 3, 2)
+        kh, kw = 3, 2
+        ho = _out_size(x.shape[2], kh, stride, pad)
+        wo = _out_size(x.shape[3], kw, stride, pad)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        expect = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        got = kernels._windows(x, pad, kh, kw, stride, ho, wo)
+        assert got.shape == expect.shape and got.dtype == x.dtype
+        assert np.array_equal(got, expect)
+        assert not got.flags.writeable
 
 
 class TestCornerTable:

@@ -14,6 +14,7 @@ from kpp.nets import (
     MemoryVAE,
     ModelConfig,
     load_checkpoint,
+    _tsm_source,
     save_checkpoint,
     tsm_shift,
 )
@@ -142,9 +143,72 @@ class TestTsmShift:
             assert np.array_equal(tsm_shift(ad.constant(x), t).data[rows], out.data)
             assert np.array_equal(stacked.grad[rows], alone.grad)
 
+    def test_gather_index_cached_read_only(self):
+        """Two episodes of 2 rows, 8 channels: row 0 of the stack is zeros
+        and row r + 1 holds features[r]."""
+        src = _tsm_source(4, 8, 2, 1)
+        assert src is _tsm_source(4, 8, 2, 1) and not src.flags.writeable
+        expect = np.array([[0, 2] + [1] * 6, [1, 0] + [2] * 6,
+                           [0, 4] + [3] * 6, [3, 0] + [4] * 6])
+        assert np.array_equal(src, expect)
+        assert np.array_equal(src, _tsm_source.__wrapped__(4, 8, 2, 1))
+
     def test_episode_length_must_split_rows(self):
         with pytest.raises(ValueError):
             tsm_shift(ad.constant(np.zeros((5, 8, 2, 2))), 2)
+
+
+class ComposedVAE(MemoryVAE):
+    """The graph the fused layers replaced: each layer is its op, a
+    reshaped bias and an add."""
+
+    def _dense(self, x, prefix):
+        return ad.add(ad.matmul(x, self.params[f"{prefix}.w"]), self.params[f"{prefix}.b"])
+
+    def _conv(self, x, prefix, stride=2, pad=1):
+        y = ad.conv2d(x, self.params[f"{prefix}.w"], stride=stride, pad=pad)
+        b = self.params[f"{prefix}.b"]
+        return ad.add(y, ad.reshape(b, (1, b.shape[0], 1, 1)))
+
+    def _convT(self, x, prefix, stride=2, pad=1):
+        y = ad.conv_transpose2d(x, self.params[f"{prefix}.w"], stride=stride, pad=pad)
+        b = self.params[f"{prefix}.b"]
+        return ad.add(y, ad.reshape(b, (1, b.shape[0], 1, 1)))
+
+
+def composed_clamp(x, lo, hi):
+    """The clamp as relu ops, as it was before it became one node."""
+    return ad.sub(ad.add(x, ad.relu(ad.sub(lo, x))), ad.relu(ad.sub(x, hi)))
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("wide", [False, True], ids=["float32", "float64"])
+    @pytest.mark.parametrize("cfg", [conv_cfg(), conv_cfg(ablation=True), tiny_dense_cfg()],
+                             ids=["conv", "conv-no-memory", "dense"])
+    def test_match_composed_graph(self, monkeypatch, cfg, wide):
+        """Loss and every gradient are bit-identical to the composed graph's,
+        with heads wide enough that the clamp clips."""
+        clipped = []
+        results = []
+        for cls, clamp in ((MemoryVAE, ad.clamp), (ComposedVAE, composed_clamp)):
+            def spy(x, lo, hi, clamp=clamp):
+                clipped.append(int(((x.data < lo) | (x.data > hi)).sum()))
+                return clamp(x, lo, hi)
+
+            monkeypatch.setattr(ad, "clamp", spy)
+            model = cls(cfg, seed=3)
+            randomize(model, np.random.default_rng(8), scale=1.0)
+            if wide:
+                float64(model)
+            images = np.random.default_rng(2).random((2, cfg.T) + cfg.image_shape) < 0.5
+            loss, _ = elbo_graph(model, images.astype(np.float64), 5)
+            ad.backward(loss)
+            results.append((loss.data, {n: p.grad for n, p in model.params.items()}))
+        assert clipped and all(clipped)  # every head clips some entries
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert loss.dtype == ref_loss.dtype and np.array_equal(loss, ref_loss)
+        for name, g in grads.items():
+            assert g.dtype == model.dtype and np.array_equal(g, ref_grads[name]), name
 
 
 class TestEncode:

@@ -513,3 +513,39 @@ class TestDenoise:
         a = denoise(memory, data.images[0], "speckle", 2, model, rng_seed=15)
         b = denoise(memory, data.images[0], "speckle", 2, model, rng_seed=15)
         assert np.array_equal(a[0], b[0]) and a[2] == b[2]
+
+
+class TestGraphSize:
+    """make_node calls per graph on the default model, so a change that
+    adds graph nodes back (an unfused bias, a composed clamp) shows."""
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        count = [0]
+        make_node = ad.make_node
+
+        def counted(*args):
+            count[0] += 1
+            return make_node(*args)
+
+        monkeypatch.setattr(ad, "make_node", counted)
+        return count
+
+    @pytest.mark.parametrize("ablation,expect", [(False, 112), (True, 70)],
+                             ids=["memory", "no-memory"])
+    def test_training_step(self, nodes, ablation, expect):
+        model = MemoryVAE(ModelConfig(ablation=ablation), seed=1)
+        images = synth_shapes(16, 16, 16, seed=3).images.reshape(2, 8, 1, 16, 16)
+        elbo_graph(model, images, 4)
+        assert nodes[0] == expect
+
+    def test_read_step_and_generate(self, nodes):
+        model = MemoryVAE(ModelConfig(), seed=1)
+        images = synth_shapes(8, 16, 16, seed=3).images
+        memory = model.write_memory(model.encode(ad.constant(images)))
+        nodes[0] = 0
+        iterative_read(memory, images[0], 3, model, 5)
+        assert nodes[0] == 3 * 54
+        nodes[0] = 0
+        generate(memory, 4, model, 6)
+        assert nodes[0] == 31

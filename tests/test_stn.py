@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kpp import autodiff as ad
-from kpp.stn import grid_from_keys, sample_traces
+from kpp.stn import _target_coords, grid_from_keys, sample_traces
 
 from conftest import rel_err
 
@@ -89,6 +89,16 @@ class TestAffineGrid:
     def test_size_one_grid_hits_center(self):
         g = key_grid([0.7, 0.2, -0.1], 1, 1)
         assert np.allclose(g[0, 0], [0.2, -0.1], atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_target_coords_cached_read_only(self, dtype):
+        """One read-only table per (h, w, dtype), equal to one built afresh."""
+        coords = _target_coords(5, 7, np.dtype(dtype))
+        assert coords is _target_coords(5, 7, np.dtype(dtype))
+        assert coords.dtype == dtype and not coords.flags.writeable
+        gy, gx = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 7), indexing="ij")
+        assert np.array_equal(coords, np.stack([gx, gy], axis=-1).astype(dtype))
+        assert np.array_equal(coords, _target_coords.__wrapped__(5, 7, np.dtype(dtype)))
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

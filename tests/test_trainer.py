@@ -307,6 +307,30 @@ class TestTrain:
         train(small_train_cfg(epochs=1), train_set, test_set)
         assert live == [0]
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["conv", "dense"])
+    @pytest.mark.parametrize("ablation", [False, True], ids=["memory", "no-memory"])
+    def test_step_grads_every_parameter(self, monkeypatch, dense, ablation):
+        """adam_step receives a gradient array for every trainable
+        parameter: no parameter of any arm sits outside the loss."""
+        seen = []
+        monkeypatch.setattr(trainer, "adam_step",
+                            lambda params, grads, *rest: seen.append((params, grads)))
+        model = conv_cfg(dense_nets=dense, ablation=ablation)
+        train_set, test_set = small_data()
+        train(small_train_cfg(model=model, epochs=1, episodes_per_epoch=2),
+              train_set, test_set)
+        (params, grads), = seen
+        assert len(params) == len(MemoryVAE(model, seed=1).params)
+        for p, g in zip(params, grads):
+            assert g is not None and g is p.grad and g.shape == p.data.shape, p.name
+
+    def test_split_smaller_than_episode_rejected_first(self, monkeypatch):
+        """A test split too small for one episode fails before any step."""
+        monkeypatch.setattr(trainer, "elbo_graph", lambda *a: pytest.fail("a step ran"))
+        train_set, test_set = small_data()
+        with pytest.raises(ValueError, match="exceeds the test split of 8 images"):
+            train(small_train_cfg(model=conv_cfg(T=9)), train_set, test_set)
+
     def test_log_callback_invoked(self):
         train_set, test_set = small_data()
         lines = []
