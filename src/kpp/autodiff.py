@@ -113,14 +113,15 @@ def _biased(op_name, out, parents, backward_fn, bias, axes):
 
 
 def accumulate(node, g):
-    """Add g into node.grad (allocated as zeros on first touch)."""
+    """Add g into node.grad, which starts as a private copy of the first g."""
     if not node.requires_grad:
         return
     if g.shape != node.data.shape:
         raise GraphError(f"gradient shape {g.shape} != value shape {node.data.shape}")
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad += g
+        node.grad = np.array(g, dtype=node.data.dtype)
+    else:
+        node.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -142,8 +143,10 @@ def add(a, b):
     out = a.data + b.data
 
     def bwd(gy):
-        accumulate(a, _unbroadcast(gy, a.shape))
-        accumulate(b, _unbroadcast(gy, b.shape))
+        if a.requires_grad:
+            accumulate(a, _unbroadcast(gy, a.shape))
+        if b.requires_grad:
+            accumulate(b, _unbroadcast(gy, b.shape))
 
     return make_node("add", out, (a, b), bwd)
 
@@ -153,8 +156,10 @@ def sub(a, b):
     out = a.data - b.data
 
     def bwd(gy):
-        accumulate(a, _unbroadcast(gy, a.shape))
-        accumulate(b, _unbroadcast(-gy, b.shape))
+        if a.requires_grad:
+            accumulate(a, _unbroadcast(gy, a.shape))
+        if b.requires_grad:
+            accumulate(b, _unbroadcast(-gy, b.shape))
 
     return make_node("sub", out, (a, b), bwd)
 
@@ -164,8 +169,10 @@ def mul(a, b):
     out = a.data * b.data
 
     def bwd(gy):
-        accumulate(a, _unbroadcast(gy * b.data, a.shape))
-        accumulate(b, _unbroadcast(gy * a.data, b.shape))
+        if a.requires_grad:
+            accumulate(a, _unbroadcast(gy * b.data, a.shape))
+        if b.requires_grad:
+            accumulate(b, _unbroadcast(gy * a.data, b.shape))
 
     return make_node("mul", out, (a, b), bwd)
 
@@ -189,8 +196,10 @@ def matmul(a, b, *, bias=None):
     out = a.data @ b.data
 
     def bwd(gy):
-        accumulate(a, gy @ b.data.T)
-        accumulate(b, a.data.T @ gy)
+        if a.requires_grad:
+            accumulate(a, gy @ b.data.T)
+        if b.requires_grad:
+            accumulate(b, a.data.T @ gy)
 
     return _biased("matmul", out, (a, b), bwd, bias, 0)
 
@@ -352,15 +361,18 @@ def conv2d(x, w, stride=1, pad=0, *, bias=None):
         raise ValueError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
     xc = np.ascontiguousarray(x.data)
     wc = np.ascontiguousarray(w.data)
-    out = kernels.conv2d_forward(xc, wc, stride, pad)
     h, wid = x.shape[2], x.shape[3]
     kh, kw = w.shape[2], w.shape[3]
+    # one window matrix, for the forward product and the kernel gradient
+    cols = kernels.im2col(xc, kh, kw, stride, pad)
+    out = kernels.conv2d_forward(xc, wc, stride, pad, cols=cols)
 
     def bwd(gy):
         gy = np.ascontiguousarray(gy)
         if x.requires_grad:
             accumulate(x, kernels.conv2d_input_grad(gy, wc, stride, pad, h, wid))
-        accumulate(w, kernels.conv2d_kernel_grad(gy, xc, stride, pad, kh, kw))
+        if w.requires_grad:
+            accumulate(w, kernels.conv2d_kernel_grad(gy, xc, stride, pad, kh, kw, cols=cols))
 
     return _biased("conv2d", out, (x, w), bwd, bias, (0, 2, 3))
 
@@ -387,41 +399,14 @@ def conv_transpose2d(x, w, stride=1, pad=0, *, bias=None):
 
     def bwd(gy):
         gy = np.ascontiguousarray(gy)
-        accumulate(x, kernels.conv2d_forward(gy, wc, stride, pad))
-        accumulate(w, kernels.conv2d_kernel_grad(xc, gy, stride, pad, kh, kw))
+        # one window matrix of gy, for both gradients
+        cols = kernels.im2col(gy, kh, kw, stride, pad)
+        if x.requires_grad:
+            accumulate(x, kernels.conv2d_forward(gy, wc, stride, pad, cols=cols))
+        if w.requires_grad:
+            accumulate(w, kernels.conv2d_kernel_grad(xc, gy, stride, pad, kh, kw, cols=cols))
 
     return _biased("conv_transpose2d", out, (x, w), bwd, bias, (0, 2, 3))
-
-
-def bilinear_sample(images, grid):
-    """Sample images (B,C,H,W) at grid (B,G,h,w,2) of normalized coords.
-
-    grid[..., 0] is the x (width) coordinate, grid[..., 1] the y (height)
-    coordinate, both in [-1, 1] with corners mapping to the corner pixels.
-    Out-of-range coordinates read as zero.  Returns (B,G,C,h,w).
-    """
-    images, grid = _wrap(images), _wrap(grid)
-    if images.data.ndim != 4:
-        raise ValueError(f"bilinear_sample expects 4-D images, got {images.shape}")
-    if grid.data.ndim != 5 or grid.shape[-1] != 2:
-        raise ValueError(f"bilinear_sample expects (B,G,h,w,2) grid, got {grid.shape}")
-    if grid.shape[0] != images.shape[0]:
-        raise ValueError(
-            f"bilinear_sample batch mismatch: images {images.shape} vs grid {grid.shape}"
-        )
-    ic = np.ascontiguousarray(images.data)
-    gc = np.ascontiguousarray(grid.data)
-    b, _, h, w = images.shape
-    # one corner table per read, dropped with bwd when no gradient is needed
-    taps = kernels.bilinear_taps(gc, b, h, w)
-    out = kernels.bilinear_forward(ic, gc, taps=taps)
-
-    def bwd(gy):
-        gy = np.ascontiguousarray(gy)
-        accumulate(images, kernels.bilinear_image_grad(gy, gc, h, w, taps=taps))
-        accumulate(grid, kernels.bilinear_grid_grad(gy, ic, gc, taps=taps))
-
-    return make_node("bilinear_sample", out, (images, grid), bwd)
 
 
 # ---------------------------------------------------------------------------

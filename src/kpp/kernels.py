@@ -2,16 +2,18 @@
 backward, in NumPy.
 
 The convolutions run as BLAS matrix products: the forward pass and the
-kernel gradient over an im2col matrix built from a strided window view
-of the padded input (one matrix per image for the forward pass, one for
-the whole batch for the kernel gradient), the input gradient as one
-product per kernel tap added into its strided window.  The three bilinear
-kernels share one 2x2 corner table (``bilinear_taps``), built once per read
-and passed to each as ``taps``: the forward pass and the grid gradient
-gather one corner at a time, and the image gradient scatters through it
-with one ``np.bincount`` per channel.  Conventions: zero padding, and the
-"corners map to +/-1" grid convention where a normalized coordinate c maps
-to pixel (c + 1) / 2 * (size - 1).
+kernel gradient over one (Ci*kh*kw, N*ho*wo) im2col matrix (``im2col``)
+built from a strided window view of the padded input, which a caller can
+build once and pass to both as ``cols`` (the forward pass multiplies a
+strided view of it one image at a time, the kernel gradient all of it at
+once); the input gradient as one product per kernel tap added into its
+strided window.  The three bilinear kernels share one 2x2 corner table
+(``corner_table``), built once per read and passed to each as ``taps``:
+the forward pass and the grid gradient gather one corner at a time, and
+the image gradient scatters through it with one ``np.bincount`` per
+channel; given ``taps``, a kernel does not read its grid argument.
+Conventions: zero padding, and the "corners map to +/-1" grid convention
+where a normalized coordinate c maps to pixel (c + 1) / 2 * (size - 1).
 
 Every kernel returns the dtype of its array operands (float32 in, float32
 out; float64 in, float64 out), and its temporaries take that dtype too.
@@ -32,20 +34,32 @@ def _windows(x, pad, kh, kw, stride, ho, wo):
     return win
 
 
-def conv2d_forward(x, w, stride, pad):
+def im2col(x, kh, kw, stride, pad):
+    """The (Ci*kh*kw, N*ho*wo) window matrix of a strided correlation over
+    zero-padded x (N,Ci,H,W): rows in (c, u, v) order, columns in (n, i, j)
+    order.  ``conv2d_forward`` and ``conv2d_kernel_grad`` take it as ``cols``."""
+    n, ci, h, wid = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wid + 2 * pad - kw) // stride + 1
+    if ho < 1 or wo < 1:
+        raise ValueError(f"conv2d output would be empty for input {x.shape} kernel {(kh, kw)}")
+    win = _windows(x, pad, kh, kw, stride, ho, wo)
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(ci * kh * kw, n * ho * wo)
+
+
+def conv2d_forward(x, w, stride, pad, cols=None):
     """Correlate x (N,Ci,H,W) with w (Co,Ci,kh,kw); zero padding, given stride."""
     n, ci, h, wid = x.shape
     co, ci2, kh, kw = w.shape
     if ci != ci2:
         raise ValueError(f"conv2d channel mismatch: input {ci} vs kernel {ci2}")
+    if cols is None:
+        cols = im2col(x, kh, kw, stride, pad)
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wid + 2 * pad - kw) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"conv2d output would be empty for input {x.shape} kernel {w.shape}")
-    # one im2col matrix per image, (N, Ci*kh*kw, ho*wo), rows in (c, u, v) order
-    win = _windows(x, pad, kh, kw, stride, ho, wo)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, ci * kh * kw, ho * wo)
-    return np.matmul(w.reshape(co, ci * kh * kw), cols).reshape(n, co, ho, wo)
+    # one BLAS product per image, over a strided (N, Ci*kh*kw, ho*wo) view
+    per_image = cols.reshape(ci * kh * kw, n, ho * wo).transpose(1, 0, 2)
+    return np.matmul(w.reshape(co, ci * kh * kw), per_image).reshape(n, co, ho, wo)
 
 
 def conv2d_input_grad(gy, w, stride, pad, h, wid):
@@ -67,46 +81,52 @@ def conv2d_input_grad(gy, w, stride, pad, h, wid):
     return gxp
 
 
-def conv2d_kernel_grad(gy, x, stride, pad, kh, kw):
+def conv2d_kernel_grad(gy, x, stride, pad, kh, kw, cols=None):
     """Gradient of conv2d_forward w.r.t. the kernel (Co,Ci,kh,kw)."""
     n, co, ho, wo = gy.shape
     ci = x.shape[1]
-    # One product over every image: the im2col matrix is built directly as
-    # (Ci*kh*kw, N*ho*wo), with no per-image stack of partial kernels to sum.
-    win = _windows(x, pad, kh, kw, stride, ho, wo)
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(ci * kh * kw, n * ho * wo)
+    # One product over every image, so no per-image stack of partial kernels to sum.
+    if cols is None:
+        cols = im2col(x, kh, kw, stride, pad)
     g = gy.transpose(1, 0, 2, 3).reshape(co, n * ho * wo)
     return np.matmul(g, cols.T).reshape(co, ci, kh, kw)
 
 
-def bilinear_taps(grid, b, h, w):
-    """The 2x2 corner table of a bilinear read of B canvases of H x W at
-    grid (B,G,h,w,2), which all three bilinear kernels take as ``taps``.
+def _axis_taps(c, size):
+    """Near and far tap indices, weights and on-canvas masks (2, ...) of
+    normalized coordinates c on an axis of the given size.  Each array is
+    filled in place: on the read shapes much of a bilinear kernel's time is
+    first-touch faults on fresh arrays."""
+    p = (c + 1.0) * (0.5 * (size - 1))
+    wt = np.empty((2,) + p.shape, dtype=p.dtype)
+    i = np.empty(wt.shape, dtype=np.intp)
+    i[0] = np.floor(p, out=wt[0])
+    np.add(i[0], 1, out=i[1])
+    np.subtract(p, wt[0], out=wt[1])
+    np.subtract(1, wt[1], out=wt[0])
+    on = (i >= 0) & (i < size)
+    wt *= on
+    return np.clip(i, 0, size - 1, out=i), wt, on
 
-    Returns flat indices (2, 2, B, G, h, w) into the B*H*W canvas, the y
-    tap first, then per-axis weights and on-canvas masks (2, B, G, h, w)
-    for y and for x.  An off-canvas corner is clipped onto the canvas and
-    has weight 0.  Each axis fills its (2, ...) arrays in place: on the
-    read shapes much of a bilinear kernel's time is first-touch faults on
-    fresh arrays.
-    """
-    def axis(c, size):
-        p = (c + 1.0) * (0.5 * (size - 1))
-        wt = np.empty((2,) + p.shape, dtype=p.dtype)
-        i = np.empty(wt.shape, dtype=np.intp)
-        i[0] = np.floor(p, out=wt[0])
-        np.add(i[0], 1, out=i[1])
-        np.subtract(p, wt[0], out=wt[1])
-        np.subtract(1, wt[1], out=wt[0])
-        on = (i >= 0) & (i < size)
-        wt *= on
-        return np.clip(i, 0, size - 1, out=i), wt, on
 
-    iy, wy, on_y = axis(grid[..., 1], h)
-    ix, wx, on_x = axis(grid[..., 0], w)
+def corner_table(ys, xs, b, h, w):
+    """The 2x2 corner table that all three bilinear kernels take as ``taps``,
+    for a read of B canvases of H x W at normalized ys and xs that
+    broadcast to (B,G,h,w): a separable read passes ys (B,G,h,1) and xs
+    (B,G,1,w).  Returns flat indices (2, 2, B, G, h, w) into the B*H*W
+    canvas, the y tap first, then per-axis weights and on-canvas masks
+    (2, ...) of ys and of xs.  An off-canvas corner is clipped onto the
+    canvas and has weight 0."""
+    iy, wy, on_y = _axis_taps(ys, h)
+    ix, wx, on_x = _axis_taps(xs, w)
     iy += np.arange(b).reshape(b, 1, 1, 1) * h
     iy *= w
     return iy[:, None] + ix, (wy, wx), (on_y, on_x)
+
+
+def bilinear_taps(grid, b, h, w):
+    """The ``corner_table`` of grid (B,G,h,w,2) of normalized (x, y) coords."""
+    return corner_table(grid[..., 1], grid[..., 0], b, h, w)
 
 
 def _canvas(images):
@@ -140,7 +160,7 @@ def bilinear_image_grad(gy, grid, h, w, taps=None):
     # corners in front, so each bin sums in the same order for every channel.
     bins = idx.ravel()
     weight = wy[:, None] * wx                                    # (2,2,B,G,h,w)
-    gimg = np.empty((b, c, h, w), dtype=np.result_type(gy, grid))
+    gimg = np.empty((b, c, h, w), dtype=np.result_type(gy, weight))
     for ch in range(c):
         gimg[:, ch] = np.bincount(bins, (weight * gy[:, :, ch]).ravel(),
                                   minlength=b * h * w).reshape(b, h, w)
@@ -155,7 +175,7 @@ def bilinear_grid_grad(gy, images, grid, taps=None):
     # gy against the value at one corner at a time, times d weight / d pixel
     # coordinate (the slope: -1 for the near tap, +1 for the far one, 0 off
     # the canvas), added in corner order.
-    sign = np.array([-1.0, 1.0], dtype=grid.dtype).reshape(2, 1, 1, 1, 1)
+    sign = np.array([-1.0, 1.0], dtype=wy.dtype).reshape(2, 1, 1, 1, 1)
     slope_y, slope_x = sign * on_y, sign * on_x
     dpx = dpy = None
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):

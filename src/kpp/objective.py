@@ -98,6 +98,8 @@ def read_memory(model, memory: Tensor, squashed_keys):
     """
     b = memory.shape[0]
     n, k = squashed_keys.shape[:2]
+    if n % b:
+        raise ValueError(f"keys {squashed_keys.shape} do not split evenly over {memory.shape}")
     traces = stn.sample_traces(
         memory,
         ad.reshape(squashed_keys, (b, n // b * k, 3)),
@@ -179,6 +181,11 @@ def elbo_graph(model: MemoryVAE, episodes, rng):
     return loss, breakdown
 
 
+def _one_memory(memory, what, shape):
+    if memory.shape[0] != 1:
+        raise ValueError(f"one memory (1,C,H,W) is read for {what} {shape}, got {memory.shape}")
+
+
 def _decode_output(model, z):
     logits = model.decode(z)
     if model.config.likelihood == "bernoulli":
@@ -197,7 +204,9 @@ def generate(memory: Tensor, n: int, model: MemoryVAE, rng_seed) -> np.ndarray:
 def generate_from_keys(memory: Tensor, raw_keys, model: MemoryVAE) -> np.ndarray:
     """Decode one image per key set from one memory (1,C,H,W): raw keys
     (n,K,3) are squashed by tanh, read, and decoded at the trace prior mean."""
-    keys = ad.tanh(ad.constant(np.asarray(raw_keys, dtype=model.dtype)))
+    raw_keys = np.asarray(raw_keys, dtype=model.dtype)
+    _one_memory(memory, "keys", raw_keys.shape)
+    keys = ad.tanh(ad.constant(raw_keys))
     traces = read_memory(model, memory, keys)
     zp = model.readout_prior(traces)
     out = _decode_output(model, zp.mean)
@@ -229,6 +238,7 @@ def iterative_read(memory: Tensor, x_init, steps: int, model: MemoryVAE,
             f"x_init shape {x_hat.shape} does not match image shape "
             f"{model.config.image_shape}"
         )
+    _one_memory(memory, "image", x_hat.shape)
     trajectory = []
     for _ in range(steps):
         emb = model.encode(ad.constant(x_hat[None]))

@@ -1,11 +1,13 @@
-"""Differentiable extraction of memory sub-blocks via affine grids.
+"""Differentiable extraction of memory sub-blocks by key-placed windows.
 
 A key is three scalars (scale s, x-shift, y-shift) squashed into
 (-1, 1) by tanh.  For every target pixel with normalized coordinates
 (tx, ty) in [-1, 1]^2 the source coordinate is (s*tx + x, s*ty + y);
 bilinear interpolation with zero padding turns those real-valued
-coordinates into a differentiable crop.  Gradients reach only the
-memory cells actually touched by the sampling footprint.
+coordinates into a differentiable crop.  Source x depends only on the
+column and y only on the row, so a read is one graph node whose corner
+table comes from those per-axis coordinates, with no grid tensor.
+Gradients reach only the memory cells the sampling footprint touches.
 """
 
 import functools
@@ -13,6 +15,7 @@ import functools
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import Tensor
 
 
@@ -27,22 +30,34 @@ def _target_coords(out_h, out_w, dtype):
     return coords
 
 
-def grid_from_keys(keys: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Batched sampling grids from squashed keys (B, K, 3) -> (B, K, h, w, 2)."""
-    keys = ad.tensor(keys) if not isinstance(keys, Tensor) else keys
-    if len(keys.shape) != 3 or keys.shape[-1] != 3 or keys.shape[1] < 1:
-        raise ValueError(f"grid_from_keys expects (B, K, 3) keys with K >= 1, got {keys.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"grid size must be >= 1, got ({out_h}, {out_w})")
-    b, k = keys.shape[0], keys.shape[1]
-    scale = ad.reshape(keys[..., 0:1], (b, k, 1, 1, 1))
-    shift = ad.reshape(keys[..., 1:3], (b, k, 1, 1, 2))
-    return ad.add(ad.mul(scale, _target_coords(out_h, out_w, keys.data.dtype)), shift)
-
-
 def sample_traces(memory: Tensor, keys: Tensor, out_size) -> Tensor:
     """Crop batched memories (B,C,H,W) with squashed keys (B,K,3) -> (B,K,C,h,w)."""
+    memory, keys = (t if isinstance(t, Tensor) else ad.tensor(t) for t in (memory, keys))
     out_h, out_w = out_size
-    grid = grid_from_keys(keys, out_h, out_w)
-    return ad.bilinear_sample(memory, grid)
+    if len(keys.shape) != 3 or keys.shape[-1] != 3 or keys.shape[1] < 1:
+        raise ValueError(f"sample_traces expects (B, K, 3) keys with K >= 1, got {keys.shape}")
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"trace size must be >= 1, got ({out_h}, {out_w})")
+    if len(memory.shape) != 4 or memory.shape[0] != keys.shape[0]:
+        raise ValueError(f"need (B,C,H,W) memories, got {memory.shape} for keys {keys.shape}")
+    k = keys.data
+    coords = _target_coords(out_h, out_w, k.dtype)
+    xs = k[..., 0:1] * coords[0, :, 0] + k[..., 1:2]               # (B,K,w)
+    ys = k[..., 0:1] * coords[:, 0, 1] + k[..., 2:3]               # (B,K,h)
+    mc = np.ascontiguousarray(memory.data)
+    b, _, h, w = mc.shape
+    taps = kernels.corner_table(ys[..., None], xs[..., None, :], b, h, w)
+    out = kernels.bilinear_forward(mc, None, taps=taps)
 
+    def bwd(gy):
+        gy = np.ascontiguousarray(gy)
+        if memory.requires_grad:
+            ad.accumulate(memory, kernels.bilinear_image_grad(gy, None, h, w, taps=taps))
+        if keys.requires_grad:  # the (B,K,h,w,2) coordinate gradient, through s * target + shift
+            gg = kernels.bilinear_grid_grad(gy, mc, None, taps=taps)
+            gk = np.empty_like(k)
+            gk[..., 0] = (gg * coords).sum(axis=(2, 3, 4))
+            gk[..., 1:] = gg.sum(axis=(2, 3))
+            ad.accumulate(keys, gk)
+
+    return ad.make_node("sample_traces", out, (memory, keys), bwd)

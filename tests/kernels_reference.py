@@ -1,14 +1,20 @@
 """Test-only reference kernels: the per-tap einsum convolutions, the
 ``np.add.at`` bilinear scatter, and the per-corner fancy-index bilinear
 forward and grid gradient that ``kpp.kernels`` used before it moved to
-im2col products, ``np.bincount`` and one shared corner table; and that
-table as first built, with ``np.stack``.
+im2col products, ``np.bincount`` and one shared corner table; that table as
+first built, with ``np.stack``; the conv forward pass with one contiguous
+im2col matrix per image; and the memory read as first composed from graph
+nodes over a (B,K,h,w,2) grid.
 
 Slow but direct: each kernel tap and each bilinear corner is one visible
 step, so these serve as the oracle for the production kernels.
 """
 
 import numpy as np
+
+from kpp import autodiff as ad
+from kpp import kernels
+from kpp.stn import _target_coords
 
 
 def _padded(x, pad):
@@ -171,3 +177,39 @@ def bilinear_taps(grid, b, h, w):
     ix, wx, on_x = axis((grid[..., 0] + 1.0) * 0.5 * (w - 1), w)
     iy = (iy + np.arange(b).reshape(b, 1, 1, 1) * h) * w
     return iy[:, None] + ix, (wy, wx), (on_y, on_x)
+
+
+def conv2d_forward_per_image(x, w, stride, pad):
+    """``kpp.kernels.conv2d_forward`` as it was before it took a shared
+    window matrix: one contiguous (Ci*kh*kw, ho*wo) matrix per image."""
+    n, ci, h, wid = x.shape
+    co, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wid + 2 * pad - kw) // stride + 1
+    win = kernels._windows(x, pad, kh, kw, stride, ho, wo)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, ci * kh * kw, ho * wo)
+    return np.matmul(w.reshape(co, ci * kh * kw), cols).reshape(n, co, ho, wo)
+
+
+def grid_read(memory, keys, out_size):
+    """The memory read as composed before it became one node: slice,
+    reshape, mul and add nodes build the grid scale * target + shift of
+    keys (B,K,3), and a bilinear node samples memory (B,C,H,W) at it with
+    the corner table of ``kpp.kernels.bilinear_taps``.  The bit-exact
+    oracle of ``kpp.stn.sample_traces``: value and both gradients."""
+    b, k = keys.shape[:2]
+    scale = ad.reshape(keys[..., 0:1], (b, k, 1, 1, 1))
+    shift = ad.reshape(keys[..., 1:3], (b, k, 1, 1, 2))
+    grid = ad.add(ad.mul(scale, _target_coords(*out_size, keys.data.dtype)), shift)
+    mc = np.ascontiguousarray(memory.data)
+    gc = np.ascontiguousarray(grid.data)
+    h, w = mc.shape[2:]
+    taps = kernels.bilinear_taps(gc, b, h, w)
+
+    def bwd(gy):
+        gy = np.ascontiguousarray(gy)
+        ad.accumulate(memory, kernels.bilinear_image_grad(gy, gc, h, w, taps=taps))
+        ad.accumulate(grid, kernels.bilinear_grid_grad(gy, mc, gc, taps=taps))
+
+    out = kernels.bilinear_forward(mc, gc, taps=taps)
+    return ad.make_node("bilinear_sample", out, (memory, grid), bwd)

@@ -26,7 +26,7 @@ from kpp.objective import denoise, elbo_graph
 from kpp.stn import sample_traces
 from kpp.trainer import TrainConfig, eval_conditional, train
 
-from conftest import check_op_gradient, conv_cfg, float64, randomize, rel_err
+from conftest import check_op_gradient, clean_keys, conv_cfg, float64, randomize, rel_err
 from test_cli import FAST, mask_wall, read_csv
 from test_objective import HandOracle, hand_cfg
 from test_stn import contributing_cells, reference_crop
@@ -81,14 +81,6 @@ def _away_from_kinks(x, margin=0.1):
     return x + margin * np.sign(x)
 
 
-def _clean_grid(rng, *shape):
-    # bilinear kernels kink where coordinates hit integer pixels; on a
-    # 5-wide image that is every multiple of 0.5 in [-1, 1] coordinates
-    g = rng.uniform(-0.9, 0.9, size=shape)
-    near = np.abs(g - np.round(g * 2) / 2) < 1e-3
-    return np.where(near, g + 4e-3, g)
-
-
 DIFF_OPS = [
     ("add", ad.add, lambda rng: [r(rng, 2, 3), r(rng, 2, 3)]),
     ("add_broadcast", ad.add, lambda rng: [r(rng, 2, 1, 4), r(rng, 3, 1)]),
@@ -119,8 +111,8 @@ DIFF_OPS = [
      lambda rng: [r(rng, 1, 2, 6, 6), r(rng, 3, 2, 3, 3) * 0.5]),
     ("conv_transpose2d", lambda a, b: ad.conv_transpose2d(a, b, stride=2, pad=1),
      lambda rng: [r(rng, 1, 2, 4, 4), r(rng, 2, 2, 3, 3) * 0.5]),
-    ("bilinear_sample", ad.bilinear_sample,
-     lambda rng: [r(rng, 2, 2, 5, 5), _clean_grid(rng, 2, 2, 3, 3, 2)]),
+    ("sample_traces", lambda m, k: sample_traces(m, k, (3, 3)),
+     lambda rng: [r(rng, 2, 2, 5, 5), clean_keys(rng, 2, 2)]),
     ("matmul_bias", lambda a, b, c: ad.matmul(a, b, bias=c),
      lambda rng: [r(rng, 3, 4), r(rng, 4, 2), r(rng, 2)]),
     ("conv2d_bias", lambda a, b, c: ad.conv2d(a, b, stride=2, pad=1, bias=c),

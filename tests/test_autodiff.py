@@ -7,6 +7,11 @@ from kpp import autodiff as ad
 from kpp import kernels
 from kpp.autodiff import GraphError, NonFiniteError
 
+import kernels_reference as ref
+from kpp.data import synth_shapes
+from kpp.nets import MemoryVAE, ModelConfig
+from kpp.objective import elbo_graph
+
 from conftest import check_op_gradient, fd_grad, rel_err
 
 
@@ -236,38 +241,125 @@ def test_conv2d_skips_input_grad_of_constant_input(rng, monkeypatch):
     assert x.grad is None and w.grad is not None
 
 
-def test_bilinear_sample_builds_one_corner_table(rng, monkeypatch):
-    """The forward pass and both gradients of one read share one table."""
+@pytest.fixture(scope="module")
+def model_convs():
+    """(op name, x, w, stride, pad) of every conv call of a default-model
+    training step, in float32 as the model computes."""
     calls = []
-    build = kernels.bilinear_taps
-    monkeypatch.setattr(kernels, "bilinear_taps",
-                        lambda *args: calls.append(args) or build(*args))
-    images = ad.parameter(r(rng, 2, 3, 6, 7))
-    grid = ad.parameter(rng.uniform(-1.2, 1.2, size=(2, 4, 3, 5, 2)))
-    ad.backward(ad.sum_(ad.mul(ad.bilinear_sample(images, grid),
-                               ad.constant(r(rng, 2, 4, 3, 3, 5)))))
-    assert len(calls) == 1
-    assert images.grad is not None and grid.grad is not None
+    originals = {name: getattr(ad, name) for name in ("conv2d", "conv_transpose2d")}
+
+    def recorder(name):
+        def op(x, w, stride=1, pad=0, **kw):
+            calls.append((name, x.data.copy(), w.data.copy(), stride, pad))
+            return originals[name](x, w, stride, pad, **kw)
+        return op
+
+    mp = pytest.MonkeyPatch()
+    for name in originals:
+        mp.setattr(ad, name, recorder(name))
+    try:
+        model = MemoryVAE(ModelConfig(), seed=1)
+        images = synth_shapes(16, 16, 16, seed=3).images.reshape(2, 8, 1, 16, 16)
+        elbo_graph(model, images, 4)
+    finally:
+        mp.undo()
+    return calls
 
 
-def test_bilinear_sample_of_constants_keeps_no_backward(rng):
-    """A forward-only read drops its backward, and the table with it."""
-    out = ad.bilinear_sample(ad.constant(r(rng, 1, 2, 5, 5)),
-                             ad.constant(rng.uniform(-1, 1, size=(1, 2, 3, 3, 2))))
-    assert out._backward is None
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_convs_share_window_matrix_bit_exactly(model_convs, dtype):
+    """With one window matrix per node, each conv op's output and both
+    gradients equal the separate kernel calls of per-image im2col bit for
+    bit, on every conv shape of the default model."""
+    rng = np.random.default_rng(5)
+    assert {c[0] for c in model_convs} == {"conv2d", "conv_transpose2d"}
+    for name, xv, wv, stride, pad in model_convs:
+        xv, wv = xv.astype(dtype), wv.astype(dtype)
+        x, w = ad.parameter(xv), ad.parameter(wv)
+        out = getattr(ad, name)(x, w, stride, pad)
+        gy = rng.normal(size=out.shape).astype(dtype)
+        ad.backward(ad.sum_(ad.mul(out, ad.constant(gy))))
+        kh, kw = wv.shape[2:]
+        if name == "conv2d":
+            expect = (ref.conv2d_forward_per_image(xv, wv, stride, pad),
+                      kernels.conv2d_input_grad(gy, wv, stride, pad, *xv.shape[2:]),
+                      kernels.conv2d_kernel_grad(gy, xv, stride, pad, kh, kw))
+        else:
+            expect = (kernels.conv2d_input_grad(xv, wv, stride, pad, *out.shape[2:]),
+                      ref.conv2d_forward_per_image(gy, wv, stride, pad),
+                      kernels.conv2d_kernel_grad(xv, gy, stride, pad, kh, kw))
+        for got, want in zip((out.data, x.grad, w.grad), expect):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want), (name, xv.shape, wv.shape)
 
 
-def test_bilinear_sample_gradient():
-    for draw in range(50):
-        rng = np.random.default_rng(4200 + draw)
-        imgs = r(rng, 2, 3, 5, 5)
-        grid = rng.uniform(-0.9, 0.9, size=(2, 2, 3, 3, 2))
-        # bilinear kernels have kinks where coords hit integer pixels
-        # (every multiple of 0.5 on a 5-wide image); keep clear of them
-        near = np.abs(grid - np.round(grid * 2) / 2) < 1e-3
-        grid = np.where(near, grid + 4e-3, grid)
-        worst = check_op_gradient(ad.bilinear_sample, [imgs, grid], seed=draw)
-        assert worst <= 1e-4
+CONSTANT_OPERAND_OPS = [
+    ("add", ad.add, (2, 3), (2, 3)),
+    ("sub", ad.sub, (2, 1), (1, 3)),
+    ("mul", ad.mul, (2, 3), (3,)),
+    ("matmul", ad.matmul, (2, 3), (3, 4)),
+    ("conv2d", lambda a, b: ad.conv2d(a, b, stride=2, pad=1), (1, 2, 6, 6), (3, 2, 3, 3)),
+    ("conv_transpose2d", lambda a, b: ad.conv_transpose2d(a, b, stride=2, pad=1),
+     (1, 2, 4, 4), (2, 3, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("name,op,sa,sb", CONSTANT_OPERAND_OPS,
+                         ids=[c[0] for c in CONSTANT_OPERAND_OPS])
+@pytest.mark.parametrize("const", [0, 1], ids=["first-constant", "second-constant"])
+def test_constant_operands_get_no_gradient_work(rng, monkeypatch, name, op, sa, sb, const):
+    """An operand that needs no gradient keeps grad None, and backward
+    computes nothing for it: no gradient of it reaches accumulate."""
+    reached = []
+    accumulate = ad.accumulate
+    monkeypatch.setattr(ad, "accumulate", lambda node, g: reached.append(node) or accumulate(node, g))
+    operands = [ad.parameter(r(rng, *sa)), ad.parameter(r(rng, *sb))]
+    operands[const] = ad.constant(operands[const].data)
+    out = op(*operands)
+    ad.backward(ad.sum_(ad.mul(out, ad.constant(r(rng, *out.shape)))))
+    assert operands[const].grad is None and operands[1 - const].grad is not None
+    assert not any(node is operands[const] for node in reached)
+
+
+def test_conv_transpose2d_skips_input_grad_of_constant_input(rng, monkeypatch):
+    monkeypatch.setattr(kernels, "conv2d_forward", None)
+    x = ad.constant(r(rng, 2, 3, 4, 4))
+    w = ad.parameter(r(rng, 3, 2, 3, 3))
+    ad.backward(ad.sum_(ad.conv_transpose2d(x, w, stride=2, pad=1)))
+    assert x.grad is None and w.grad is not None
+
+
+def _grad_cases(rng):
+    """(name, loss, [(tensor, expected grad)]) of graphs where one upstream
+    gradient reaches a node's grad unchanged, or reaches two nodes."""
+    x = ad.parameter(r(rng, 3, 4))
+    proj = r(rng, 3, 4)
+    yield "add(x, x)", ad.mul(ad.add(x, x), ad.constant(proj)), [(x, 2 * proj)]
+    x = ad.parameter(r(rng, 3, 4))
+    yield "mul(x, x)", ad.mul(ad.mul(x, x), ad.constant(proj)), [(x, 2 * x.data * proj)]
+    x = ad.parameter(r(rng, 3, 4))
+    view = ad.reshape(x, (2, 6))
+    yield "reshape view", ad.mul(view, ad.constant(proj.reshape(2, 6))), [(x, proj)]
+    a, b = ad.parameter(r(rng, 3, 1)), ad.parameter(r(rng, 3, 3))
+    yield ("concat split", ad.mul(ad.concat([a, b], axis=1), ad.constant(proj)),
+           [(a, proj[:, :1]), (b, proj[:, 1:])])
+    p, q = ad.parameter(r(rng, 3, 4)), ad.parameter(r(rng, 3, 4))
+    yield "add(p, q)", ad.mul(ad.add(p, q), ad.constant(proj)), [(p, proj), (q, proj)]
+
+
+def test_first_gradient_is_a_private_copy(rng):
+    """Each tensor's first gradient is its own array: right values, and
+    writing into one tensor's grad leaves every other grad in the graph
+    unchanged."""
+    for name, out, expect in _grad_cases(rng):
+        ad.backward(ad.sum_(out))
+        for t, want in expect:
+            assert np.array_equal(t.grad, want), name
+        graded = [node for node in ad._topo_order(out) if node.grad is not None]
+        for t, _ in expect:
+            others = [(node, node.grad.copy()) for node in graded if node is not t]
+            t.grad[...] = 7.0
+            assert all(np.array_equal(node.grad, old) for node, old in others), name
 
 
 # --- graph mechanics ---------------------------------------------------------

@@ -241,6 +241,22 @@ class TestCornerTable:
             for got, expect in zip(weights + masks, ref_weights + ref_masks):
                 assert np.array_equal(got, expect) and got.dtype == expect.dtype
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_separable_table_is_the_grid_table(self, rng, dtype):
+        """Per-axis coordinates (y per row, x per column) give the table of
+        the full grid they span: the same indices, and weights and masks
+        that broadcast to the grid's."""
+        ys = rng.uniform(-1.3, 1.3, size=(3, 4, 5)).astype(dtype)
+        xs = rng.uniform(-1.3, 1.3, size=(3, 4, 6)).astype(dtype)
+        xs[0, 0, 0], ys[1, 2, 3] = 1.0, -1.0
+        grid = np.stack(np.broadcast_arrays(xs[..., None, :], ys[..., None]), axis=-1)
+        got = kernels.corner_table(ys[..., None], xs[..., None, :], 3, 7, 9)
+        expect = kernels.bilinear_taps(grid, 3, 7, 9)
+        assert np.array_equal(got[0], expect[0])
+        for part, want in zip(got[1] + got[2], expect[1] + expect[2]):
+            assert part.dtype == want.dtype
+            assert np.array_equal(np.broadcast_to(part, want.shape), want)
+
     def test_given_table_changes_nothing(self, monkeypatch):
         cases = [(n, a) for n, a in _benchmark_cases(monkeypatch).items()
                  if n.startswith("bilinear")]

@@ -381,6 +381,41 @@ class TestEpisodeBatch:
             assert np.array_equal(both[2 * e:2 * e + 2], alone)
 
 
+class TestOneMemoryReads:
+    """A read that takes one memory rejects a stack of memories, and a
+    batched read rejects keys that do not split evenly over its memories,
+    instead of splitting the keys between them."""
+
+    @pytest.fixture
+    def two(self, rng):
+        model, memory, data = make_trained_ish(rng)
+        return model, ad.constant(np.concatenate([memory.data, memory.data])), data
+
+    @pytest.mark.parametrize("n", [16, 15])
+    def test_generate(self, two, n):
+        model, memory, _ = two
+        with pytest.raises(ValueError, match="one memory") as err:
+            generate(memory, n, model, rng_seed=0)
+        assert f"({n}, 1, 3)" in str(err.value) and "(2, 1, 16, 16)" in str(err.value)
+        with pytest.raises(ValueError, match="one memory"):
+            perturbed_generate(memory, np.zeros((1, 3)), 0.1, n, model, rng_seed=0)
+
+    def test_iterative_read_and_denoise(self, two):
+        model, memory, data = two
+        for read in (lambda: iterative_read(memory, data.images[0], 2, model, 0),
+                     lambda: denoise(memory, data.images[0], "salt_pepper", 2, model, 0)):
+            with pytest.raises(ValueError, match="one memory") as err:
+                read()
+            assert "(1, 8, 8)" in str(err.value) and "(2, 1, 16, 16)" in str(err.value)
+
+    def test_read_memory_uneven_split(self, two):
+        model, memory, _ = two
+        keys = ad.constant(np.zeros((5, 1, 3)))
+        with pytest.raises(ValueError, match="split evenly") as err:
+            read_memory(model, memory, keys)
+        assert "(5, 1, 3)" in str(err.value) and "(2, 1, 16, 16)" in str(err.value)
+
+
 def make_trained_ish(rng, **kw):
     model = MemoryVAE(conv_cfg(**kw), seed=10)
     randomize(model, rng, scale=0.3)
@@ -517,7 +552,8 @@ class TestDenoise:
 
 class TestGraphSize:
     """make_node calls per graph on the default model, so a change that
-    adds graph nodes back (an unfused bias, a composed clamp) shows."""
+    adds graph nodes back (an unfused bias, a composed clamp, a read
+    composed from grid nodes) shows."""
 
     @pytest.fixture
     def nodes(self, monkeypatch):
@@ -531,7 +567,7 @@ class TestGraphSize:
         monkeypatch.setattr(ad, "make_node", counted)
         return count
 
-    @pytest.mark.parametrize("ablation,expect", [(False, 112), (True, 70)],
+    @pytest.mark.parametrize("ablation,expect", [(False, 106), (True, 70)],
                              ids=["memory", "no-memory"])
     def test_training_step(self, nodes, ablation, expect):
         model = MemoryVAE(ModelConfig(ablation=ablation), seed=1)
@@ -545,7 +581,7 @@ class TestGraphSize:
         memory = model.write_memory(model.encode(ad.constant(images)))
         nodes[0] = 0
         iterative_read(memory, images[0], 3, model, 5)
-        assert nodes[0] == 3 * 54
+        assert nodes[0] == 3 * 48
         nodes[0] = 0
         generate(memory, 4, model, 6)
-        assert nodes[0] == 31
+        assert nodes[0] == 25

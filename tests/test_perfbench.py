@@ -6,8 +6,10 @@ The benchmark hooks kpp from outside through module attributes
 (``trainer.elbo_graph``, the four-argument ``trainer.eval_conditional``,
 ``write_memory`` feeding ``objective.generate``, ...).  If a change to kpp
 moved one of them, the probe would lose a hook or a per-step check without
-any kpp test failing; these runs catch that.  Nothing under perfbench/ is
-edited.
+any kpp test failing; these runs catch that.  The traced runs also pin
+the kernel calls and graph nodes of a step, so a change that routes a read
+or a conv around the probed kernels fails here instead of reading 0 ms.
+Nothing under perfbench/ is edited.
 """
 
 import json
@@ -19,6 +21,17 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
+
+# per step of a memory-arm training workload
+TRACED_PER_STEP = {
+    "kernels.conv2d_forward.calls_per_step": 10,
+    "kernels.conv2d_input_grad.calls_per_step": 9,
+    "kernels.conv2d_kernel_grad.calls_per_step": 10,
+    "kernels.bilinear_forward.calls_per_step": 1,
+    "kernels.bilinear_image_grad.calls_per_step": 1,
+    "kernels.bilinear_grid_grad.calls_per_step": 1,
+    "autodiff.nodes_per_step": 106,
+}
 
 RUNS = [("train-default", 0), ("train-long-episode", 0), ("train-no-memory", 0),
         ("infer-read", 0), ("train-default", 1), ("train-long-episode", 1)]
@@ -38,3 +51,6 @@ def test_benchmark_run_is_correct(workload, trace):
     assert info["unhooked"] == [], info["unhooked"]
     assert result["failed"] == 0, info["errors"]
     assert result["correct"] is True, info["checks"]
+    if trace:
+        got = {name: result["metrics"][name]["value"] for name in TRACED_PER_STEP}
+        assert got == TRACED_PER_STEP

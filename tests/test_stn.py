@@ -1,12 +1,19 @@
-"""Spatial-transformer reads checked against brute-force bilinear crops."""
+"""Spatial-transformer reads checked against brute-force bilinear crops,
+and the one-node read against the grid path it replaced, bit for bit."""
 
 import numpy as np
 import pytest
 
+import kernels_reference as ref
 from kpp import autodiff as ad
-from kpp.stn import _target_coords, grid_from_keys, sample_traces
+from kpp import kernels
+from kpp.stn import _target_coords, sample_traces
 
-from conftest import rel_err
+from conftest import check_op_gradient, clean_keys, rel_err
+
+
+def r(rng, *shape):
+    return rng.normal(size=shape)
 
 
 def reference_crop(memory, key, out_h, out_w):
@@ -52,8 +59,21 @@ def contributing_cells(shape, key, out_h, out_w):
 
 
 def key_grid(key, out_h, out_w):
-    """Sampling grid (h, w, 2) of one squashed key, via the batched path."""
-    return grid_from_keys(ad.constant(np.reshape(key, (1, 1, 3))), out_h, out_w).data[0, 0]
+    """Source coordinates (h, w, 2) of one squashed key's window, read back
+    through sample_traces from a 9x9 ramp whose two channels hold each
+    cell's normalized x and y: inside the canvas a bilinear read of a
+    linear ramp returns the point it samples."""
+    ramp = np.linspace(-1.0, 1.0, 9)
+    mem = np.stack([np.broadcast_to(ramp, (9, 9)), np.broadcast_to(ramp[:, None], (9, 9))])
+    return np.moveaxis(crop(mem, key, (out_h, out_w))[0], 0, -1)
+
+
+def source_pixels(key, out_h, out_w, hh, ww):
+    """Pixel coordinates (x per column, y per row) that one key reads."""
+    s, x, y = key
+    tx = np.linspace(-1.0, 1.0, out_w) if out_w > 1 else np.zeros(1)
+    ty = np.linspace(-1.0, 1.0, out_h) if out_h > 1 else np.zeros(1)
+    return (s * tx + x + 1) / 2 * (ww - 1), (s * ty + y + 1) / 2 * (hh - 1)
 
 
 def crop(image, keys, out_size):
@@ -63,6 +83,8 @@ def crop(image, keys, out_size):
 
 
 class TestAffineGrid:
+    """Where a key's window lands, read back from a coordinate ramp."""
+
     def test_identity_key(self):
         g = key_grid([1.0, 0.0, 0.0], 5, 7)
         tx = np.linspace(-1, 1, 7)
@@ -101,10 +123,11 @@ class TestAffineGrid:
         assert np.array_equal(coords, _target_coords.__wrapped__(5, 7, np.dtype(dtype)))
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            grid_from_keys(ad.constant(np.zeros((1, 1, 2))), 4, 4)
-        with pytest.raises(ValueError):
-            grid_from_keys(ad.constant(np.zeros((1, 1, 3))), 0, 4)
+        mem = ad.constant(np.zeros((1, 1, 8, 8)))
+        with pytest.raises(ValueError, match="keys"):
+            sample_traces(mem, ad.constant(np.zeros((1, 1, 2))), (4, 4))
+        with pytest.raises(ValueError, match="trace size"):
+            sample_traces(mem, ad.constant(np.zeros((1, 1, 3))), (0, 4))
 
 
 class TestBilinearSample:
@@ -210,10 +233,8 @@ class TestKeyGradients:
         while checked < 30 and attempts < 200:
             attempts += 1
             key = np.tanh(rng.normal(size=3) * 0.7)
-            # skip keys whose grid lands near integer pixels (bilinear kinks)
-            g = key_grid(key, 6, 7)
-            px = (g[..., 0] + 1) / 2 * 16
-            py = (g[..., 1] + 1) / 2 * 12
+            # skip keys whose window lands near integer pixels (bilinear kinks)
+            px, py = source_pixels(key, 6, 7, 13, 17)
             frac = np.concatenate([(px % 1).ravel(), (py % 1).ravel()])
             if np.min(np.abs(frac - np.round(frac))) < 1e-3:
                 continue
@@ -263,5 +284,86 @@ class TestBatchedSampling:
                 assert np.max(np.abs(out[b, k] - ref)) <= 1e-10
 
     def test_grid_shape_validation(self):
-        with pytest.raises(ValueError):
-            grid_from_keys(ad.constant(np.zeros((2, 3))), 4, 4)
+        with pytest.raises(ValueError, match="keys"):
+            sample_traces(ad.constant(np.zeros((2, 1, 4, 4))), ad.constant(np.zeros((2, 3))),
+                          (4, 4))
+        with pytest.raises(ValueError, match="memories"):
+            sample_traces(ad.constant(np.zeros((3, 1, 4, 4))),
+                          ad.constant(np.zeros((2, 1, 3))), (4, 4))
+
+
+def _read_case(rng, case, dtype):
+    """(memory, keys) of a batched read: T*K windows from each of two
+    3x64x64 memories, as a training step reads them; "off_canvas" puts
+    the windows partly or wholly off the canvas."""
+    t, k = (8, 2) if case == "off_canvas" else case
+    memory = rng.normal(size=(2, 3, 64, 64)).astype(dtype)
+    keys = rng.uniform(-0.95, 0.95, size=(2, t * k, 3))
+    if case == "off_canvas":
+        keys[..., 1:] = rng.uniform(-1.8, 1.8, size=(2, t * k, 2))
+        keys[0, 0] = [0.5, 1.7, -1.7]
+    return memory, keys.astype(dtype)
+
+
+class TestReadOp:
+    """sample_traces is one graph node that matches the grid path it
+    replaced (``kernels_reference.grid_read``) bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", [(8, 2), (32, 4), "off_canvas"],
+                             ids=["T8K2", "T32K4", "off_canvas"])
+    def test_matches_composed_grid_path(self, rng, case, dtype):
+        memory, keys = _read_case(rng, case, dtype)
+        proj = rng.normal(size=(2, keys.shape[1], 3, 16, 16)).astype(dtype)
+        results = []
+        for read in (sample_traces, ref.grid_read):
+            m, k = ad.parameter(memory), ad.parameter(keys)
+            out = read(m, k, (16, 16))
+            ad.backward(ad.sum_(ad.mul(out, ad.constant(proj))))
+            results.append((out.data, m.grad, k.grad))
+        for got, expect in zip(*results):
+            assert got.dtype == expect.dtype == dtype
+            assert np.array_equal(got, expect)
+
+    def test_is_one_node_with_one_corner_table(self, rng, monkeypatch):
+        """The forward pass and both gradients of one read share one
+        corner table, built from per-axis coordinates, not from a grid."""
+        calls, nodes = [], []
+        build, make_node = kernels.corner_table, ad.make_node
+        monkeypatch.setattr(kernels, "corner_table",
+                            lambda *args: calls.append(args) or build(*args))
+        monkeypatch.setattr(kernels, "bilinear_taps", None)
+        monkeypatch.setattr(ad, "make_node", lambda *args: nodes.append(args[0]) or make_node(*args))
+        memory = ad.parameter(r(rng, 2, 3, 6, 7))
+        keys = ad.parameter(rng.uniform(-1.2, 1.2, size=(2, 4, 3)))
+        out = sample_traces(memory, keys, (3, 5))
+        assert nodes == ["sample_traces"]
+        ad.backward(ad.sum_(ad.mul(out, ad.constant(r(rng, 2, 4, 3, 3, 5)))))
+        assert len(calls) == 1
+        assert memory.grad is not None and keys.grad is not None
+
+    def test_of_constants_keeps_no_backward(self, rng):
+        """A forward-only read drops its backward, and the table with it."""
+        out = sample_traces(ad.constant(r(rng, 1, 2, 5, 5)),
+                            ad.constant(rng.uniform(-1, 1, size=(1, 2, 3))), (3, 3))
+        assert out._backward is None
+
+    @pytest.mark.parametrize("const", ["memory", "keys"])
+    def test_constant_operand_gets_no_gradient_work(self, rng, monkeypatch, const):
+        skipped = "bilinear_image_grad" if const == "memory" else "bilinear_grid_grad"
+        monkeypatch.setattr(kernels, skipped, None)
+        memory = (ad.constant if const == "memory" else ad.parameter)(r(rng, 2, 3, 6, 7))
+        keys = (ad.constant if const == "keys" else ad.parameter)(
+            rng.uniform(-1, 1, size=(2, 4, 3)))
+        ad.backward(ad.sum_(sample_traces(memory, keys, (3, 5))))
+        assert (memory.grad is None) == (const == "memory")
+        assert (keys.grad is None) == (const == "keys")
+
+    def test_gradient(self):
+        """Finite differences over the memory and the keys, clear of the
+        bilinear kinks."""
+        for draw in range(50):
+            rng = np.random.default_rng(4200 + draw)
+            worst = check_op_gradient(lambda m, k: sample_traces(m, k, (3, 3)),
+                                      [r(rng, 2, 3, 5, 5), clean_keys(rng, 2, 2)], seed=draw)
+            assert worst <= 1e-4
