@@ -113,15 +113,23 @@ def _biased(op_name, out, parents, backward_fn, bias, axes):
 
 
 def accumulate(node, g):
-    """Add g into node.grad, which starts as a private copy of the first g."""
+    """Add g into node.grad; the first g, which nothing else may hold, becomes
+    node.grad (cast if its dtype differs).  See ``_pass_through``."""
     if not node.requires_grad:
         return
     if g.shape != node.data.shape:
         raise GraphError(f"gradient shape {g.shape} != value shape {node.data.shape}")
     if node.grad is None:
-        node.grad = np.array(g, dtype=node.data.dtype)
+        node.grad = np.asarray(g, dtype=node.data.dtype)
     else:
         node.grad += g
+
+
+def _pass_through(node, g, gy):
+    """accumulate g, computed from gy; a first g that shares gy's memory is copied."""
+    if node.requires_grad and node.grad is None and np.may_share_memory(g, gy):
+        g = np.array(g, dtype=node.data.dtype)
+    accumulate(node, g)
 
 
 def _unbroadcast(g, shape):
@@ -144,9 +152,9 @@ def add(a, b):
 
     def bwd(gy):
         if a.requires_grad:
-            accumulate(a, _unbroadcast(gy, a.shape))
+            _pass_through(a, _unbroadcast(gy, a.shape), gy)
         if b.requires_grad:
-            accumulate(b, _unbroadcast(gy, b.shape))
+            _pass_through(b, _unbroadcast(gy, b.shape), gy)
 
     return make_node("add", out, (a, b), bwd)
 
@@ -157,7 +165,7 @@ def sub(a, b):
 
     def bwd(gy):
         if a.requires_grad:
-            accumulate(a, _unbroadcast(gy, a.shape))
+            _pass_through(a, _unbroadcast(gy, a.shape), gy)
         if b.requires_grad:
             accumulate(b, _unbroadcast(-gy, b.shape))
 
@@ -270,7 +278,7 @@ def reshape(x, shape):
     out = x.data.reshape(shape)
 
     def bwd(gy):
-        accumulate(x, gy.reshape(x.shape))
+        _pass_through(x, gy.reshape(x.shape), gy)
 
     return make_node("reshape", out, (x,), bwd)
 
@@ -280,7 +288,7 @@ def broadcast_to(x, shape):
     out = np.broadcast_to(x.data, shape).copy()
 
     def bwd(gy):
-        accumulate(x, _unbroadcast(gy, x.shape))
+        _pass_through(x, _unbroadcast(gy, x.shape), gy)
 
     return make_node("broadcast_to", out, (x,), bwd)
 
@@ -295,7 +303,7 @@ def concat(parts, axis=0):
 
     def bwd(gy):
         for p, g in zip(parts, np.split(gy, splits, axis=axis)):
-            accumulate(p, g)
+            _pass_through(p, g, gy)
 
     return make_node("concat", out, tuple(parts), bwd)
 

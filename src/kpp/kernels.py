@@ -6,12 +6,14 @@ kernel gradient over one (Ci*kh*kw, N*ho*wo) im2col matrix (``im2col``)
 built from a strided window view of the padded input, which a caller can
 build once and pass to both as ``cols`` (the forward pass multiplies a
 strided view of it one image at a time, the kernel gradient all of it at
-once); the input gradient as one product per kernel tap added into its
-strided window.  The three bilinear kernels share one 2x2 corner table
-(``corner_table``), built once per read and passed to each as ``taps``:
-the forward pass and the grid gradient gather one corner at a time, and
-the image gradient scatters through it with one ``np.bincount`` per
-channel; given ``taps``, a kernel does not read its grid argument.
+once); the input gradient, which is also the transposed conv's forward
+pass, as one product per kernel tap, each added in one contiguous pass
+into a stride-phase plane of the padded canvas.  The three bilinear
+kernels share one 2x2 corner table (``corner_table``), built once per read
+and passed to each as ``taps``: the forward pass and the grid gradient
+gather one corner at a time, and the image gradient scatters through it
+with one ``np.bincount`` per channel; given ``taps``, a kernel does not
+read its grid argument.
 Conventions: zero padding, and the "corners map to +/-1" grid convention
 where a normalized coordinate c maps to pixel (c + 1) / 2 * (size - 1).
 
@@ -66,19 +68,34 @@ def conv2d_input_grad(gy, w, stride, pad, h, wid):
     """Gradient of conv2d_forward w.r.t. the input, for input size (h, wid)."""
     n, co, ho, wo = gy.shape
     co2, ci, kh, kw = w.shape
-    # One product per kernel tap, added into its strided window (col2im).
-    # A single product for all taps is no faster: its kh*kw-times-larger
-    # buffer costs more in fresh pages than the saved BLAS calls.
+    s = stride
+    # One product per kernel tap, added into the padded canvas (col2im).  A
+    # single product for all taps is no faster: its kh*kw-times-larger buffer
+    # costs more in fresh pages than the saved BLAS calls.  Canvas row s*i + p
+    # is row i of phase plane p, so tap (s*a + p, s*b + q) adds at row a,
+    # column b of plane (p, q).  With gy zero-padded to the plane's r x c, a
+    # product shares the planes' row and plane strides, so each tap is one
+    # contiguous add at offset a*c + b; what spills past a row's end is zeros.
+    r = max(ho + (kh - 1) // s, (h + pad - 1) // s + 1)
+    c = max(wo + (kw - 1) // s, (wid + pad - 1) // s + 1)
     wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))      # (kh,kw,Ci,Co)
-    g = gy.reshape(n, co, ho * wo)
-    gxp = np.zeros((n, ci, h + 2 * pad, wid + 2 * pad), dtype=np.result_type(gy, w))
+    g = np.zeros((n, co, r * c), dtype=gy.dtype)
+    g.reshape(n, co, r, c)[:, :, :ho, :wo] = gy
+    size, dtype = n * ci * r * c, np.result_type(gy, w)
+    planes = np.zeros((s, s, size + r * c), dtype=dtype)    # any offset a*c + b < r*c
     for u in range(kh):
         for v in range(kw):
-            tap = np.matmul(wt[u, v], g).reshape(n, ci, ho, wo)
-            gxp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += tap
-    if pad:
-        return np.ascontiguousarray(gxp[:, :, pad:pad + h, pad:pad + wid])
-    return gxp
+            (a, p), (b, q) = divmod(u, s), divmod(v, s)
+            planes[p, q, a * c + b:a * c + b + size] += np.matmul(wt[u, v], g).reshape(size)
+    # one strided copy per plane: output row y of phase p = (y + pad) % s is
+    # plane row (y + pad) // s
+    gx = np.empty((n, ci, h, wid), dtype=dtype)
+    for p, q in np.ndindex(s, s):
+        y, x = (p - pad) % s, (q - pad) % s
+        rows = slice((y + pad) // s, (y + pad) // s + len(range(y, h, s)))
+        cols = slice((x + pad) // s, (x + pad) // s + len(range(x, wid, s)))
+        gx[:, :, y::s, x::s] = planes[p, q, :size].reshape(n, ci, r, c)[:, :, rows, cols]
+    return gx
 
 
 def conv2d_kernel_grad(gy, x, stride, pad, kh, kw, cols=None):

@@ -17,7 +17,9 @@ from .objective import elbo_graph
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_EVAL_CHUNK = 4   # test episodes per eval graph: no larger than a default training step
+# test episodes per eval graph: with no backward state, 8 peak below a 4-episode
+# training step (tracemalloc: 3.2 against 11.0 MB at T=8, 19.7 against 41.8 at T=32)
+_EVAL_CHUNK = 8
 
 METRICS_HEADER = ["epoch", "split", "elbo", "recon_ll", "kl_z", "kl_y",
                   "wall_seconds", "seed"]

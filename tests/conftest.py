@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kpp import autodiff as ad
-from kpp.nets import ModelConfig
+from kpp.data import synth_shapes
+from kpp.nets import MemoryVAE, ModelConfig
+from kpp.objective import elbo_graph
 
 
 def conv_cfg(**kw):
@@ -106,3 +108,28 @@ def check_op_gradient(build, inputs, rtol=1e-4, h=1e-5, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="module")
+def model_convs():
+    """(op name, x, w, stride, pad) of every conv call of a default-model
+    training step, in float32 as the model computes."""
+    calls = []
+    originals = {name: getattr(ad, name) for name in ("conv2d", "conv_transpose2d")}
+
+    def recorder(name):
+        def op(x, w, stride=1, pad=0, **kw):
+            calls.append((name, x.data.copy(), w.data.copy(), stride, pad))
+            return originals[name](x, w, stride, pad, **kw)
+        return op
+
+    mp = pytest.MonkeyPatch()
+    for name in originals:
+        mp.setattr(ad, name, recorder(name))
+    try:
+        model = MemoryVAE(ModelConfig(), seed=1)
+        images = synth_shapes(16, 16, 16, seed=3).images.reshape(2, 8, 1, 16, 16)
+        elbo_graph(model, images, 4)
+    finally:
+        mp.undo()
+    return calls

@@ -3,8 +3,9 @@
 forward and grid gradient that ``kpp.kernels`` used before it moved to
 im2col products, ``np.bincount`` and one shared corner table; that table as
 first built, with ``np.stack``; the conv forward pass with one contiguous
-im2col matrix per image; and the memory read as first composed from graph
-nodes over a (B,K,h,w,2) grid.
+im2col matrix per image; the conv input gradient that added each tap's
+product into a strided window of the padded canvas; and the memory read as
+first composed from graph nodes over a (B,K,h,w,2) grid.
 
 Slow but direct: each kernel tap and each bilinear corner is one visible
 step, so these serve as the oracle for the production kernels.
@@ -189,6 +190,22 @@ def conv2d_forward_per_image(x, w, stride, pad):
     win = kernels._windows(x, pad, kh, kw, stride, ho, wo)
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, ci * kh * kw, ho * wo)
     return np.matmul(w.reshape(co, ci * kh * kw), cols).reshape(n, co, ho, wo)
+
+
+def conv2d_input_grad_strided(gy, w, stride, pad, h, wid):
+    """``kpp.kernels.conv2d_input_grad`` as it was before it added each tap
+    in one contiguous pass: the same per-tap BLAS products, each added into
+    its strided (n, ci, ho, wo) window of the padded canvas."""
+    n, co, ho, wo = gy.shape
+    _, ci, kh, kw = w.shape
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
+    g = gy.reshape(n, co, ho * wo)
+    gxp = np.zeros((n, ci, h + 2 * pad, wid + 2 * pad), dtype=np.result_type(gy, w))
+    for u in range(kh):
+        for v in range(kw):
+            tap = np.matmul(wt[u, v], g).reshape(n, ci, ho, wo)
+            gxp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += tap
+    return np.ascontiguousarray(gxp[:, :, pad:pad + h, pad:pad + wid])
 
 
 def grid_read(memory, keys, out_size):

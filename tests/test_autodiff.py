@@ -8,9 +8,6 @@ from kpp import kernels
 from kpp.autodiff import GraphError, NonFiniteError
 
 import kernels_reference as ref
-from kpp.data import synth_shapes
-from kpp.nets import MemoryVAE, ModelConfig
-from kpp.objective import elbo_graph
 
 from conftest import check_op_gradient, fd_grad, rel_err
 
@@ -239,31 +236,6 @@ def test_conv2d_skips_input_grad_of_constant_input(rng, monkeypatch):
     ad.backward(ad.sum_(ad.conv2d(x, w, stride=2, pad=1)))
     assert len(calls) == 0
     assert x.grad is None and w.grad is not None
-
-
-@pytest.fixture(scope="module")
-def model_convs():
-    """(op name, x, w, stride, pad) of every conv call of a default-model
-    training step, in float32 as the model computes."""
-    calls = []
-    originals = {name: getattr(ad, name) for name in ("conv2d", "conv_transpose2d")}
-
-    def recorder(name):
-        def op(x, w, stride=1, pad=0, **kw):
-            calls.append((name, x.data.copy(), w.data.copy(), stride, pad))
-            return originals[name](x, w, stride, pad, **kw)
-        return op
-
-    mp = pytest.MonkeyPatch()
-    for name in originals:
-        mp.setattr(ad, name, recorder(name))
-    try:
-        model = MemoryVAE(ModelConfig(), seed=1)
-        images = synth_shapes(16, 16, 16, seed=3).images.reshape(2, 8, 1, 16, 16)
-        elbo_graph(model, images, 4)
-    finally:
-        mp.undo()
-    return calls
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

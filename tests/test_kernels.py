@@ -15,6 +15,16 @@ STRIDE_PAD = [(1, 0), (1, 1), (2, 1), (3, 2)]
 KERNEL_SIZES = [3, 4]
 
 
+# (kh, kw, stride, pad, h, wid) of input gradients whose scatter has an edge:
+# taps that miss the last rows or columns ((h + 2 pad - k) % stride != 0),
+# stride 3, 1x1 kernels, a rectangular kernel and 1x1 outputs
+INPUT_GRAD_EDGES = [(4, 4, 2, 0, 9, 8), (4, 4, 2, 0, 8, 9), (5, 5, 3, 1, 10, 8),
+                    (2, 2, 3, 0, 7, 5), (1, 1, 1, 0, 5, 6), (1, 1, 2, 0, 7, 6),
+                    (3, 4, 2, 1, 7, 9), (3, 3, 2, 0, 3, 4), (2, 2, 3, 0, 2, 2),
+                    (3, 3, 1, 1, 1, 1)]
+INPUT_GRAD_EDGE_IDS = ["miss-rows", "miss-cols", "stride3", "stride3-miss", "k1", "k1-stride2",
+                       "k3x4", "out1x1", "out1x1-stride3", "out1x1-in1x1"]
+
 # (B,G,C,h,w,H,W) shapes with grids in +-1.3 (the third is a batched read:
 # several canvases, many windows each), then two edge cases
 BILINEAR_CASES = [(2, 4, 3, 5, 6, 7, 9), (3, 2, 1, 16, 16, 8, 8), (4, 48, 3, 6, 5, 24, 20),
@@ -83,6 +93,15 @@ class TestOracle:
         assert got.shape == (5, 4, k, k)
         assert np.max(np.abs(got - expect)) <= 1e-12
 
+    @pytest.mark.parametrize("kh,kw,stride,pad,h,wid", INPUT_GRAD_EDGES, ids=INPUT_GRAD_EDGE_IDS)
+    def test_conv2d_input_grad_edges(self, rng, kh, kw, stride, pad, h, wid):
+        w = rng.normal(size=(5, 4, kh, kw))
+        gy = rng.normal(size=(2, 5, _out_size(h, kh, stride, pad), _out_size(wid, kw, stride, pad)))
+        got = kernels.conv2d_input_grad(gy, w, stride, pad, h, wid)
+        expect = ref.conv2d_input_grad(gy, w, stride, pad, h, wid)
+        assert got.shape == (2, 4, h, wid)
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
     def test_conv2d_kernel_grad_batched(self, rng):
         """Many images whose im2col has more rows (Ci*kh*kw) than output
         pixels (ho*wo), as in the encoder's last layer over a batch."""
@@ -142,6 +161,31 @@ class TestOracle:
         grid[..., 1] = 0.3
         got = kernels.bilinear_image_grad(gy, grid, 5, 5)
         assert np.max(np.abs(got - ref.bilinear_image_grad(gy, grid, 5, 5))) <= 1e-12
+
+
+class TestTapScatter:
+    """The one-add-per-tap scatter of ``conv2d_input_grad`` matches the
+    per-tap strided-add kernel it replaced, relative to the output's size,
+    on every conv shape of a default-model step: as a conv input gradient
+    and as a transposed conv's forward pass."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)],
+                             ids=["float32", "float64"])
+    def test_model_shapes(self, model_convs, dtype, tol):
+        rng = np.random.default_rng(6)
+        for name, xv, wv, stride, pad in model_convs:
+            wv = wv.astype(dtype)
+            if name == "conv2d":
+                ho, wo = (_out_size(s, k, stride, pad) for s, k in zip(xv.shape[2:], wv.shape[2:]))
+                gy = rng.normal(size=(xv.shape[0], wv.shape[0], ho, wo)).astype(dtype)
+                args = (gy, wv, stride, pad) + xv.shape[2:]
+            else:
+                size = [(s - 1) * stride - 2 * pad + k for s, k in zip(xv.shape[2:], wv.shape[2:])]
+                args = (xv.astype(dtype), wv, stride, pad, *size)
+            got = kernels.conv2d_input_grad(*args)
+            expect = ref.conv2d_input_grad_strided(*args)
+            assert got.dtype == expect.dtype == dtype
+            assert np.max(np.abs(got - expect)) <= tol * np.max(np.abs(expect)), (name, xv.shape)
 
 
 def _conv_cases():

@@ -22,6 +22,7 @@ from kpp.objective import (
     read_memory,
 )
 from kpp.stn import sample_traces
+from kpp.trainer import eval_conditional
 
 from conftest import conv_cfg, float64, randomize, rel_err
 from test_stn import reference_crop
@@ -574,6 +575,14 @@ class TestGraphSize:
         images = synth_shapes(16, 16, 16, seed=3).images.reshape(2, 8, 1, 16, 16)
         elbo_graph(model, images, 4)
         assert nodes[0] == expect
+
+    @pytest.mark.parametrize("n_images,graphs", [(64, 1), (256, 4)])
+    def test_eval(self, nodes, n_images, graphs):
+        """Eight T=8 episodes per eval graph: the 64-image synth test split
+        is one graph of a training step's size, 256 images are four."""
+        model = MemoryVAE(ModelConfig(), seed=1)
+        eval_conditional(model, synth_shapes(n_images, 16, 16, seed=3, split="test"), 8, 0)
+        assert nodes[0] == graphs * 106
 
     def test_read_step_and_generate(self, nodes):
         model = MemoryVAE(ModelConfig(), seed=1)

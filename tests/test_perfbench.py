@@ -22,7 +22,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
 
-# per step of a memory-arm training workload
+# per step (and per eval) of a memory-arm training workload
 TRACED_PER_STEP = {
     "kernels.conv2d_forward.calls_per_step": 10,
     "kernels.conv2d_input_grad.calls_per_step": 9,
@@ -31,6 +31,8 @@ TRACED_PER_STEP = {
     "kernels.bilinear_image_grad.calls_per_step": 1,
     "kernels.bilinear_grid_grad.calls_per_step": 1,
     "autodiff.nodes_per_step": 106,
+    # per eval: the test split's episodes, 8 to a graph, make one graph
+    "autodiff.make_node.calls": 106,
 }
 
 RUNS = [("train-default", 0), ("train-long-episode", 0), ("train-no-memory", 0),

@@ -233,6 +233,20 @@ class TestEvalConditional:
         assert rel_err(got, np.mean(terms, axis=0), floor=1e-300) <= 1e-12
 
 
+    def test_chunk_size_changes_nothing(self, monkeypatch):
+        """Eleven episodes score the same whether each graph holds 1, 4 or
+        8 of them (the last graph holds what is left)."""
+        model = float64(MemoryVAE(conv_cfg(T=2), seed=2))
+        test_set = synth_shapes(23, 8, 8, seed=102, split="test")
+        rows = []
+        for chunk in (1, 4, 8):
+            monkeypatch.setattr(trainer, "_EVAL_CHUNK", chunk)
+            row = eval_conditional(model, test_set, 2, 7)
+            rows.append([row.elbo, row.recon_ll, row.kl_z, row.kl_y])
+        for got in rows[1:]:
+            assert rel_err(got, rows[0], floor=1e-300) <= 1e-12
+
+
 class TestTrain:
     def test_history_shape_and_artifacts(self, tmp_path):
         train_set, test_set = small_data()
