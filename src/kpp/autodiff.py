@@ -293,35 +293,17 @@ def broadcast_to(x, shape):
     return make_node("broadcast_to", out, (x,), bwd)
 
 
-def concat(parts, axis=0):
-    parts = [_wrap(p) for p in parts]
-    if not parts:
-        raise ValueError("concat of zero tensors")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(gy):
-        for p, g in zip(parts, np.split(gy, splits, axis=axis)):
-            _pass_through(p, g, gy)
-
-    return make_node("concat", out, tuple(parts), bwd)
-
-
 def slice_(x, idx):
+    """x[idx] for a basic index (slices, ints, None, Ellipsis); an array or
+    list in idx is a ValueError."""
     x = _wrap(x)
-    out = x.data[idx]
-    if view := np.may_share_memory(out, x.data):  # a basic slice: each entry once
-        out = out.copy()
+    if any(isinstance(i, (list, np.ndarray)) for i in (idx if isinstance(idx, tuple) else (idx,))):
+        raise ValueError(f"slice_ takes basic indices only, got {idx!r}")
+    out = np.array(x.data[idx])
 
     def bwd(gy):
-        if view:
-            g = np.zeros_like(x.data)
-            g[idx] = gy
-        else:  # one bin per entry of x, so an entry that idx picks twice gets both
-            pos = np.arange(x.data.size).reshape(x.shape)[idx]
-            g = np.bincount(pos.ravel(), weights=gy.ravel(), minlength=x.data.size)
-            g = g.reshape(x.shape).astype(x.data.dtype, copy=False)
+        g = np.zeros_like(x.data)
+        g[idx] = gy
         accumulate(x, g)
 
     return make_node("slice", out, (x,), bwd)

@@ -86,14 +86,14 @@ def _load_corpus(spec, binarize_mode="threshold"):
         for p in (train_path, test_path):
             if not os.path.exists(p):
                 raise FileNotFoundError(f"expected IDX file {p}")
-        train = data_mod.load_idx(train_path, split="train", name="mnist")
-        test = data_mod.load_idx(test_path, split="test", name="mnist")
+        train = data_mod.load_idx(train_path, split="train")
+        test = data_mod.load_idx(test_path, split="test")
     elif os.path.exists(spec):
         full = data_mod.load_idx(spec, split="train")
         n = len(full)
         cut = max(1, (n * 9) // 10)
-        train = data_mod.Dataset(full.images[:cut], split="train", name=full.name)
-        test = data_mod.Dataset(full.images[cut:], split="test", name=full.name)
+        train = data_mod.Dataset(full.images[:cut], split="train")
+        test = data_mod.Dataset(full.images[cut:], split="test")
     else:
         raise FileNotFoundError(f"--data {spec!r}: no such file or directory")
     if binarize_mode != "none":

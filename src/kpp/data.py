@@ -16,7 +16,6 @@ class Dataset:
 
     images: np.ndarray
     split: str = "train"
-    name: str = "unnamed"
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -34,7 +33,7 @@ class Dataset:
         return self.images.shape[1:]
 
 
-def load_idx(path, split="train", name=None):
+def load_idx(path, split="train"):
     """Parse an IDX image file (magic 0x803) into a Dataset in [0,1]."""
     with open(path, "rb") as f:
         raw = f.read()
@@ -61,7 +60,7 @@ def load_idx(path, split="train", name=None):
     n, h, w = dims
     body = np.frombuffer(raw, dtype=np.uint8, offset=header)
     images = body.reshape(n, 1, h, w).astype(np.float64) / 255.0
-    return Dataset(images=images, split=split, name=name or "idx")
+    return Dataset(images=images, split=split)
 
 
 BINARIZE_MODES = ("threshold", "sample")
@@ -77,7 +76,7 @@ def binarize(dataset: Dataset, mode="threshold", seed=0) -> Dataset:
         images = (rng.random(dataset.images.shape) < dataset.images).astype(np.float64)
     else:
         raise ValueError(f"unknown binarize mode {mode!r}")
-    return Dataset(images=images, split=dataset.split, name=f"{dataset.name}-bin")
+    return Dataset(images=images, split=dataset.split)
 
 
 def _draw_rectangle(img, rng):
@@ -122,7 +121,7 @@ def synth_shapes(n, h, w, seed, split="train") -> Dataset:
     images = np.zeros((n, 1, h, w))
     for i in range(n):
         _SHAPE_FNS[i % 3](images[i, 0], rng)
-    return Dataset(images=images, split=split, name="synth")
+    return Dataset(images=images, split=split)
 
 
 def inject_noise(image, kind, seed, rate=0.1, std=0.3, scale=30.0):

@@ -97,16 +97,18 @@ def bernoulli_log_prob(logits: Tensor, target: Tensor) -> Tensor:
     return _sum_trailing(per_pixel)
 
 
-def gaussian_log_prob(d: DiagGaussian, target: Tensor) -> Tensor:
-    """Diagonal Gaussian log density of target, summed over pixels."""
-    if target.shape != d.mean.shape:
+def gaussian_log_prob(mean: Tensor, target: Tensor, std: float) -> Tensor:
+    """Log density of target under N(mean, std^2) per pixel, summed over
+    pixels; the scalar std's constants are formed in mean's dtype."""
+    if target.shape != mean.shape:
         raise ValueError(
-            f"gaussian shape mismatch: target {target.shape} vs mean {d.mean.shape}"
+            f"gaussian shape mismatch: target {target.shape} vs mean {mean.shape}"
         )
-    if not np.all(np.isfinite(d.log_std.data)):
-        raise ValueError("gaussian log_std must be finite (sigma > 0)")
-    delta = ad.sub(target, d.mean)
-    inv_var = ad.exp(ad.mul(d.log_std, -2.0))
-    quad = ad.mul(ad.mul(delta, delta), inv_var)
-    per_pixel = ad.mul(ad.add(ad.add(_LOG_2PI, ad.mul(d.log_std, 2.0)), quad), -0.5)
+    if not std > 0:
+        raise ValueError(f"gaussian std must be > 0, got {std!r}")
+    dtype = mean.data.dtype.type
+    log_std = dtype(np.log(std))
+    delta = ad.sub(target, mean)
+    quad = ad.mul(ad.mul(delta, delta), np.exp(log_std * dtype(-2.0)))
+    per_pixel = ad.mul(ad.add(quad, dtype(_LOG_2PI) + log_std * dtype(2.0)), -0.5)
     return _sum_trailing(per_pixel)

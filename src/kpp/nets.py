@@ -17,7 +17,6 @@ float64 through the same code.  Checkpoints hold float64 on disk, which
 stores float32 values exactly.
 """
 
-import functools
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -133,7 +132,10 @@ def tsm_shift(features: Tensor, t=None) -> Tensor:
     The first floor(C/8) channels move one step toward later samples, the
     next floor(C/8) one step toward earlier samples, with zeros filling
     the vacated slots at each episode's ends; remaining channels pass
-    through.  Nothing crosses an episode boundary.
+    through.  Nothing crosses an episode boundary.  One graph node: the
+    forward pass copies basic slices of a (B, t, C, h, w) view, and the
+    backward pass is the same shift with the two groups' directions
+    swapped.
     """
     if len(features.shape) != 4:
         raise ValueError(f"tsm_shift expects (B*T,C,h,w), got {features.shape}")
@@ -142,20 +144,19 @@ def tsm_shift(features: Tensor, t=None) -> Tensor:
     fold = c // TSM_FOLD_DIV
     if fold == 0:
         return features
-    zeros = ad.constant(np.zeros((1,) + features.shape[1:], dtype=features.data.dtype))
-    return ad.concat([zeros, features], axis=0)[_tsm_source(n, c, t, fold), np.arange(c)]
+    view = (n // t, t) + features.shape[1:]
 
+    def shift(x, later, earlier):
+        """x with channel group `later` one step later, `earlier` one step earlier."""
+        src, out = x.reshape(view), np.empty(view, dtype=x.dtype)
+        out[:, 1:, later], out[:, 0, later] = src[:, :-1, later], 0.0
+        out[:, :-1, earlier], out[:, -1, earlier] = src[:, 1:, earlier], 0.0
+        out[:, :, 2 * fold:] = src[:, :, 2 * fold:]
+        return out.reshape(x.shape)
 
-@functools.lru_cache(maxsize=None)
-def _tsm_source(n, c, t, fold):
-    """tsm_shift's read-only gather: each (row, channel)'s row in [zeros; features]."""
-    step = np.arange(n) % t
-    rows = np.arange(1, n + 1)
-    src = np.repeat(rows[:, None], c, axis=1)
-    src[:, :fold] = np.where(step > 0, rows - 1, 0)[:, None]
-    src[:, fold:2 * fold] = np.where(step < t - 1, rows + 1, 0)[:, None]
-    src.flags.writeable = False
-    return src
+    first, second = slice(0, fold), slice(fold, 2 * fold)
+    return ad.make_node("tsm_shift", shift(features.data, first, second), (features,),
+                        lambda gy: ad.accumulate(features, shift(gy, second, first)))
 
 
 def _episode_length(n, t):
@@ -410,10 +411,8 @@ class MemoryVAE:
     def decode(self, z: Tensor) -> Tensor:
         """Map latents (N, L) to image-shaped Bernoulli logits or Gaussian means."""
         z = self._input(z)
-        if len(z.shape) == 1:
-            z = ad.reshape(z, (1, z.shape[0]))
-        if z.shape[1] != self.config.L:
-            raise ValueError(f"latent width {z.shape[1]} != configured L={self.config.L}")
+        if len(z.shape) != 2 or z.shape[1] != self.config.L:
+            raise ValueError(f"latents must be (N, L={self.config.L}), got {z.shape}")
         n = z.shape[0]
         c_img, h_img, w_img = self.config.image_shape
         if self.config.dense_nets:

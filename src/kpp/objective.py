@@ -24,7 +24,6 @@ from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
 from . import stn
 from .distributions import (
-    DiagGaussian,
     bernoulli_log_prob,
     gaussian_log_prob,
     kl_diag_gaussians,
@@ -41,7 +40,6 @@ class ElboBreakdown:
     kl_z: float
     kl_y: float
     elbo: float
-    units: str = "nats/image"
 
     def __post_init__(self):
         if not np.isfinite([self.recon_ll, self.kl_z, self.kl_y, self.elbo]).all():
@@ -84,9 +82,7 @@ def _recon_term(model, logits, target):
     flat_x = ad.reshape(target, (t, int(np.prod(target.shape[1:]))))
     if model.config.likelihood == "bernoulli":
         return bernoulli_log_prob(flat_out, flat_x)
-    sigma = model.config.gaussian_std
-    log_std = ad.constant(np.full(flat_out.shape, np.log(sigma), dtype=flat_out.data.dtype))
-    return gaussian_log_prob(DiagGaussian(mean=flat_out, log_std=log_std), flat_x)
+    return gaussian_log_prob(flat_out, flat_x, model.config.gaussian_std)
 
 
 def read_memory(model, memory: Tensor, squashed_keys):
@@ -186,11 +182,11 @@ def _one_memory(memory, what, shape):
         raise ValueError(f"one memory (1,C,H,W) is read for {what} {shape}, got {memory.shape}")
 
 
-def _decode_output(model, z):
-    logits = model.decode(z)
-    if model.config.likelihood == "bernoulli":
-        return ad.sigmoid(logits)
-    return logits
+def _read_decode(model, memory, squashed_keys):
+    """Read one memory at the keys and decode at the readout prior mean:
+    pixel probabilities, or Gaussian means."""
+    out = model.decode(model.readout_prior(read_memory(model, memory, squashed_keys)).mean)
+    return ad.sigmoid(out) if model.config.likelihood == "bernoulli" else out
 
 
 def generate(memory: Tensor, n: int, model: MemoryVAE, rng_seed) -> np.ndarray:
@@ -206,11 +202,7 @@ def generate_from_keys(memory: Tensor, raw_keys, model: MemoryVAE) -> np.ndarray
     (n,K,3) are squashed by tanh, read, and decoded at the trace prior mean."""
     raw_keys = np.asarray(raw_keys, dtype=model.dtype)
     _one_memory(memory, "keys", raw_keys.shape)
-    keys = ad.tanh(ad.constant(raw_keys))
-    traces = read_memory(model, memory, keys)
-    zp = model.readout_prior(traces)
-    out = _decode_output(model, zp.mean)
-    return out.data.copy()
+    return _read_decode(model, memory, ad.tanh(ad.constant(raw_keys))).data.copy()
 
 
 def perturbed_generate(memory: Tensor, base_keys, eps_std: float, n: int,
@@ -244,11 +236,7 @@ def iterative_read(memory: Tensor, x_init, steps: int, model: MemoryVAE,
         emb = model.encode(ad.constant(x_hat[None]))
         kq = model.key_posterior(emb)
         eps_y = ad.constant(rng.standard_normal((1, model.config.K, 3)).astype(model.dtype))
-        y_sq = ad.tanh(reparam_sample(kq, eps_y))
-        traces = read_memory(model, memory, y_sq)
-        zp = model.readout_prior(traces)
-        out = _decode_output(model, zp.mean)
-        x_hat = out.data[0].copy()
+        x_hat = _read_decode(model, memory, ad.tanh(reparam_sample(kq, eps_y))).data[0].copy()
         trajectory.append(x_hat)
     return trajectory
 

@@ -11,9 +11,9 @@ import pytest
 
 import kpp
 from kpp import trainer as trainer_mod
-from kpp.cli import TRAIN_DEFAULTS, _config_flags, _load_corpus, main
-from kpp.nets import MemoryVAE, load_checkpoint, save_checkpoint
-from kpp.trainer import METRICS_HEADER, MetricsRow
+from kpp.cli import TRAIN_DEFAULTS, _config_flags, _load_corpus, _train_config, build_parser, main
+from kpp.nets import MemoryVAE, ModelConfig, load_checkpoint, save_checkpoint
+from kpp.trainer import METRICS_HEADER, MetricsRow, TrainConfig
 
 FAST = ["--T", "2", "--K", "1", "--L", "8", "--epochs", "1",
         "--episodes-per-epoch", "2", "--batch", "1", "--warmup", "1"]
@@ -80,6 +80,14 @@ class TestTrain:
         rows = read_csv(ckpt_dir / "metrics.csv")
         assert rows[0] == METRICS_HEADER
         assert len(rows) == 1 + 2 * 1  # header + (train, test) per epoch
+
+    def test_flag_defaults_match_config_defaults(self):
+        """`kpp train` with no flags trains the dataclass defaults that
+        TRAIN_DEFAULTS repeats."""
+        args = build_parser().parse_args(["train"])
+        train_set, _ = _load_corpus(args.data, args.binarize)
+        assert _train_config(args, train_set, args.seed) == TrainConfig(
+            model=ModelConfig(image_shape=(1, 16, 16)))
 
     def test_manifest_contents(self, ckpt_dir):
         text = (ckpt_dir / "manifest.txt").read_text()

@@ -172,28 +172,30 @@ class TestBernoulli:
 
 class TestGaussianLogProb:
     def test_at_mean_unit_sigma(self):
-        d = gauss([[0.7]], [[0.0]])
-        lp = gaussian_log_prob(d, ad.constant([[0.7]]))
+        lp = gaussian_log_prob(ad.constant([[0.7]]), ad.constant([[0.7]]), 1.0)
         assert abs(lp.data[0] + 0.5 * np.log(2 * np.pi)) <= 1e-12
 
     def test_one_sigma_away(self):
-        d = gauss([[0.0]], [[np.log(2.0)]])
-        lp = gaussian_log_prob(d, ad.constant([[2.0]]))
+        lp = gaussian_log_prob(ad.constant([[0.0]]), ad.constant([[2.0]]), 2.0)
         assert abs(lp.data[0] + 0.5 * np.log(2 * np.pi) + np.log(2.0) + 0.5) <= 1e-12
 
     def test_matches_direct_formula(self, rng):
         m = rng.normal(size=(3, 6))
-        ls = rng.normal(size=(3, 6)) * 0.4
         x = rng.normal(size=(3, 6))
-        lp = gaussian_log_prob(gauss(m, ls), ad.constant(x)).data
-        direct = (-0.5 * np.log(2 * np.pi) - ls
-                  - 0.5 * (x - m) ** 2 / np.exp(2 * ls)).sum(axis=1)
-        assert np.max(np.abs(lp - direct)) <= 1e-10
+        for std in (0.3, 1.0, 2.5):
+            lp = gaussian_log_prob(ad.constant(m), ad.constant(x), std).data
+            direct = (-0.5 * np.log(2 * np.pi) - np.log(std)
+                      - 0.5 * (x - m) ** 2 / std ** 2).sum(axis=1)
+            assert np.max(np.abs(lp - direct)) <= 1e-10
 
     def test_mismatched_shapes_rejected(self, rng):
         with pytest.raises(ValueError):
-            gaussian_log_prob(gauss(np.zeros((2, 3)), np.zeros((2, 3))),
-                              ad.constant(np.zeros((2, 4))))
+            gaussian_log_prob(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 4))), 1.0)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, float("nan")])
+    def test_nonpositive_std_rejected(self, std):
+        with pytest.raises(ValueError, match="std must be > 0"):
+            gaussian_log_prob(ad.constant(np.zeros((1, 2))), ad.constant(np.zeros((1, 2))), std)
 
 
 def test_diag_gaussian_shape_invariant():

@@ -14,7 +14,6 @@ from kpp.nets import (
     MemoryVAE,
     ModelConfig,
     load_checkpoint,
-    _tsm_source,
     save_checkpoint,
     tsm_shift,
 )
@@ -143,15 +142,23 @@ class TestTsmShift:
             assert np.array_equal(tsm_shift(ad.constant(x), t).data[rows], out.data)
             assert np.array_equal(stacked.grad[rows], alone.grad)
 
-    def test_gather_index_cached_read_only(self):
-        """Two episodes of 2 rows, 8 channels: row 0 of the stack is zeros
-        and row r + 1 holds features[r]."""
-        src = _tsm_source(4, 8, 2, 1)
-        assert src is _tsm_source(4, 8, 2, 1) and not src.flags.writeable
-        expect = np.array([[0, 2] + [1] * 6, [1, 0] + [2] * 6,
-                           [0, 4] + [3] * 6, [3, 0] + [4] * 6])
-        assert np.array_equal(src, expect)
-        assert np.array_equal(src, _tsm_source.__wrapped__(4, 8, 2, 1))
+    def test_one_node_against_loop(self, rng):
+        """One graph node whose value and gradient match a per-entry loop
+        over two episodes of 3 rows with 16 channels (fold 2)."""
+        x = ad.parameter(rng.normal(size=(6, 16, 2, 2)))
+        out = tsm_shift(x, 3)
+        assert out._parents == (x,)
+        gy = rng.normal(size=x.shape)
+        ad.backward(ad.sum_(ad.mul(out, ad.constant(gy))))
+        expect, grad = np.zeros(x.shape), np.zeros(x.shape)
+        for row in range(6):
+            for ch in range(16):
+                src = row - 1 if ch < 2 else row + 1 if ch < 4 else row
+                if src // 3 == row // 3:
+                    expect[row, ch] = x.data[src, ch]
+                    grad[src, ch] += gy[row, ch]
+        assert np.array_equal(out.data, expect)
+        assert np.array_equal(x.grad, grad)
 
     def test_episode_length_must_split_rows(self):
         with pytest.raises(ValueError):
@@ -384,18 +391,17 @@ class TestReadoutPrior:
 
 
 class TestDecode:
-    def test_output_shape_and_rank1_input(self, rng):
+    def test_output_shape(self, rng):
         cfg = conv_cfg()
         model = MemoryVAE(cfg, seed=10)
         out = model.decode(ad.constant(rng.normal(size=(3, cfg.L))))
         assert out.shape == (3,) + cfg.image_shape
-        out1 = model.decode(ad.constant(rng.normal(size=cfg.L)))
-        assert out1.shape == (1,) + cfg.image_shape
 
     def test_wrong_latent_width_rejected(self, rng):
         model = MemoryVAE(conv_cfg(L=4), seed=0)
-        with pytest.raises(ValueError):
-            model.decode(ad.constant(rng.normal(size=(2, 5))))
+        for shape in ((2, 5), (4,)):
+            with pytest.raises(ValueError, match=r"latents must be \(N, L=4\)"):
+                model.decode(ad.constant(rng.normal(size=shape)))
 
     def test_gradient_fd(self, rng):
         cfg = tiny_dense_cfg()

@@ -147,7 +147,6 @@ class TestBreakdown:
         assert br.elbo == br.recon_ll - br.kl_z - br.kl_y
         assert br.kl_z >= 0.0 and br.kl_y >= 0.0
         assert br.recon_ll <= 0.0  # Bernoulli log-likelihood of binary data
-        assert br.units == "nats/image"
 
     def test_loss_is_negative_elbo(self, rng):
         model = MemoryVAE(conv_cfg(), seed=1)
@@ -568,10 +567,11 @@ class TestGraphSize:
         monkeypatch.setattr(ad, "make_node", counted)
         return count
 
-    @pytest.mark.parametrize("ablation,expect", [(False, 106), (True, 70)],
-                             ids=["memory", "no-memory"])
-    def test_training_step(self, nodes, ablation, expect):
-        model = MemoryVAE(ModelConfig(ablation=ablation), seed=1)
+    @pytest.mark.parametrize("kw,expect", [({}, 104), ({"ablation": True}, 68),
+                                           ({"likelihood": "gaussian"}, 106)],
+                             ids=["memory", "no-memory", "gaussian"])
+    def test_training_step(self, nodes, kw, expect):
+        model = MemoryVAE(ModelConfig(**kw), seed=1)
         images = synth_shapes(16, 16, 16, seed=3).images.reshape(2, 8, 1, 16, 16)
         elbo_graph(model, images, 4)
         assert nodes[0] == expect
@@ -582,7 +582,7 @@ class TestGraphSize:
         is one graph of a training step's size, 256 images are four."""
         model = MemoryVAE(ModelConfig(), seed=1)
         eval_conditional(model, synth_shapes(n_images, 16, 16, seed=3, split="test"), 8, 0)
-        assert nodes[0] == graphs * 106
+        assert nodes[0] == graphs * 104
 
     def test_read_step_and_generate(self, nodes):
         model = MemoryVAE(ModelConfig(), seed=1)
@@ -590,7 +590,7 @@ class TestGraphSize:
         memory = model.write_memory(model.encode(ad.constant(images)))
         nodes[0] = 0
         iterative_read(memory, images[0], 3, model, 5)
-        assert nodes[0] == 3 * 48
+        assert nodes[0] == 3 * 46
         nodes[0] = 0
         generate(memory, 4, model, 6)
         assert nodes[0] == 25

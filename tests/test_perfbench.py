@@ -30,9 +30,9 @@ TRACED_PER_STEP = {
     "kernels.bilinear_forward.calls_per_step": 1,
     "kernels.bilinear_image_grad.calls_per_step": 1,
     "kernels.bilinear_grid_grad.calls_per_step": 1,
-    "autodiff.nodes_per_step": 106,
+    "autodiff.nodes_per_step": 104,
     # per eval: the test split's episodes, 8 to a graph, make one graph
-    "autodiff.make_node.calls": 106,
+    "autodiff.make_node.calls": 104,
 }
 
 RUNS = [("train-default", 0), ("train-long-episode", 0), ("train-no-memory", 0),
