@@ -38,6 +38,27 @@ _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 
 
+def _seed(text):
+    """A --seed value: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _seeds(text):
+    """A --seeds value, kept as given: comma-separated --seed values."""
+    for seed in filter(None, text.split(",")):
+        _seed(seed)
+    return text
+
+
+def _check_flags(*checks):
+    """Raise a ValueError naming the first (flag, value, ok, rule) that is not ok."""
+    for flag, value, ok, rule in checks:
+        if not ok:
+            raise ValueError(f"{flag} must be {rule}, got {value!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -129,6 +150,11 @@ TRAIN_DEFAULTS = dict(
 
 
 def _train_config(args, train_set, seed):
+    # 0 < x < inf also fails for NaN
+    _check_flags(("--lr", args.lr, 0 < args.lr < np.inf, "finite and > 0"),
+                 ("--weight-decay", args.weight_decay, 0 <= args.weight_decay < np.inf,
+                  "finite and >= 0"),
+                 ("--sigma", args.sigma, 0 < args.sigma < np.inf, "finite and > 0"))
     model_cfg = ModelConfig(
         image_shape=train_set.image_shape, T=args.T, K=args.K, L=args.L,
         likelihood=args.likelihood, gaussian_std=args.sigma,
@@ -170,10 +196,8 @@ GEN_DEFAULTS = dict(
 def cmd_generate(args, argv):
     model = _load_checkpoint(args.ckpt)
     n, perturb, seed = args.n, args.perturb, args.seed
-    if n < 1:
-        raise ValueError(f"--n must be >= 1, got {n}")
-    if perturb < 0:
-        raise ValueError(f"--perturb must be >= 0, got {perturb}")
+    _check_flags(("--n", n, n >= 1, ">= 1"),
+                 ("--perturb", perturb, 0 <= perturb < np.inf, "finite and >= 0"))
     out_dir = args.out or os.path.join("runs", "generate")
     _write_manifest(out_dir, argv, args)
     _, test_set = _load_corpus(args.data, args.binarize)
@@ -210,14 +234,12 @@ DENOISE_DEFAULTS = dict(
 def cmd_denoise(args, argv):
     model = _load_checkpoint(args.ckpt)
     kind, t, n, steps, seed = args.noise, model.config.T, args.n, args.steps, args.seed
-    for flag, value, ok, rule in (
-            ("--noise", kind, kind in data_mod.NOISE_KINDS, f"one of {data_mod.NOISE_KINDS}"),
-            ("--n", n, n >= 1, ">= 1"), ("--steps", steps, steps >= 1, ">= 1"),
-            ("--rate", args.rate, 0 <= args.rate <= 1, "in [0, 1]"),
-            ("--std", args.std, args.std >= 0, ">= 0"),
-            ("--scale", args.scale, args.scale > 0, "> 0")):
-        if not ok:
-            raise ValueError(f"{flag} must be {rule}, got {value!r}")
+    _check_flags(
+        ("--noise", kind, kind in data_mod.NOISE_KINDS, f"one of {data_mod.NOISE_KINDS}"),
+        ("--n", n, n >= 1, ">= 1"), ("--steps", steps, steps >= 1, ">= 1"),
+        ("--rate", args.rate, 0 <= args.rate <= 1, "in [0, 1]"),
+        ("--std", args.std, args.std >= 0, ">= 0"),
+        ("--scale", args.scale, args.scale > 0, "> 0"))
     out_dir = args.out or os.path.join("runs", "denoise")
     _write_manifest(out_dir, argv, args)
     _, test_set = _load_corpus(args.data, args.binarize)
@@ -336,7 +358,8 @@ def build_parser():
             if isinstance(val, bool):
                 p.add_argument(flag, action="store_true")
             else:
-                p.add_argument(flag, type=type(val), default=val, choices=_CHOICES.get(key))
+                p.add_argument(flag, type={"seed": _seed, "seeds": _seeds}.get(key, type(val)),
+                               default=val, choices=_CHOICES.get(key))
         p.add_argument("--config", type=str, default=None,
                        help="file of key = value lines (flags take precedence)")
     return parser

@@ -85,8 +85,8 @@ class ModelConfig:
             raise ValueError("T, K and L must all be >= 1")
         if self.likelihood not in ("bernoulli", "gaussian"):
             raise ValueError(f"unknown likelihood {self.likelihood!r}")
-        if self.likelihood == "gaussian" and self.gaussian_std <= 0:
-            raise ValueError("gaussian_std must be > 0")
+        if self.likelihood == "gaussian" and not 0 < self.gaussian_std < np.inf:
+            raise ValueError(f"gaussian_std must be finite and > 0, got {self.gaussian_std!r}")
         if not self.dense_nets:
             _, h, w = self.image_shape
             if h % 4 or w % 4 or h < 8 or w < 8:
@@ -166,6 +166,14 @@ def _episode_length(n, t):
     if t < 1 or n % t:
         raise ValueError(f"{n} rows do not split into episodes of length {t}")
     return t
+
+
+def _split_head(out, event_shape):
+    """The diagonal Gaussian in a head's output, whose last axis holds each
+    row's d means then its d log-stds: one (n, 2, *event_shape) view, the
+    log-std clamped."""
+    out = ad.reshape(out, (-1, 2) + tuple(event_shape))
+    return DiagGaussian(mean=out[:, 0], log_std=ad.clamp(out[:, 1], LOG_STD_MIN, LOG_STD_MAX))
 
 
 def _conv_out(side, n_layers):
@@ -320,15 +328,6 @@ class MemoryVAE:
         return ad.conv_transpose2d(x, self.params[f"{prefix}.w"], stride=stride, pad=pad,
                                    bias=self.params[f"{prefix}.b"])
 
-    def _gauss_head(self, h, prefix, event_shape):
-        out = self._dense(h, prefix)
-        n = out.shape[0]
-        d = int(np.prod(event_shape))
-        mean = ad.reshape(ad.slice_(out, (slice(None), slice(0, d))), (n,) + tuple(event_shape))
-        log_std = ad.reshape(ad.slice_(out, (slice(None), slice(d, 2 * d))), (n,) + tuple(event_shape))
-        log_std = ad.clamp(log_std, LOG_STD_MIN, LOG_STD_MAX)
-        return DiagGaussian(mean=mean, log_std=log_std)
-
     # -- networks ----------------------------------------------------------
 
     def encode(self, images, t=None) -> Tensor:
@@ -378,11 +377,11 @@ class MemoryVAE:
 
     def key_posterior(self, embeddings: Tensor) -> DiagGaussian:
         h = ad.relu(self._dense(embeddings, "key.fc"))
-        return self._gauss_head(h, "key.out", (self.config.K, 3))
+        return _split_head(self._dense(h, "key.out"), (self.config.K, 3))
 
     def latent_posterior(self, embeddings: Tensor) -> DiagGaussian:
         h = ad.relu(self._dense(embeddings, "post.fc"))
-        return self._gauss_head(h, "post.out", (self.config.L,))
+        return _split_head(self._dense(h, "post.out"), (self.config.L,))
 
     def readout_prior(self, traces) -> DiagGaussian:
         """Latent prior from (T, K, C, h, w) read traces, stacked along channels."""
@@ -401,12 +400,12 @@ class MemoryVAE:
         if self.config.dense_nets:
             flat = ad.reshape(x, (t, k * mc * th * tw))
             h = ad.relu(self._dense(flat, "read.fc0"))
-            return self._gauss_head(h, "read.out", (self.config.L,))
+            return _split_head(self._dense(h, "read.out"), (self.config.L,))
         stacked = ad.reshape(x, (t, k * mc, th, tw))
         h = ad.relu(self._conv(stacked, "read.conv0"))
         h = ad.relu(self._conv(h, "read.conv1"))
         flat = ad.reshape(h, (t, int(np.prod(h.shape[1:]))))
-        return self._gauss_head(flat, "read.out", (self.config.L,))
+        return _split_head(self._dense(flat, "read.out"), (self.config.L,))
 
     def decode(self, z: Tensor) -> Tensor:
         """Map latents (N, L) to image-shaped Bernoulli logits or Gaussian means."""
@@ -431,15 +430,10 @@ class MemoryVAE:
         memory), repeated for the episode's t rows."""
         n = embeddings.shape[0]
         pooled = self._pool(embeddings, t)
-        b, l = pooled.shape[0], self.config.L
-        h = ad.relu(self._dense(pooled, "abl.fc"))
-        d = self._gauss_head(h, "abl.out", (l,))
-
-        def per_row(x):
-            x = ad.broadcast_to(ad.reshape(x, (b, 1, l)), (b, n // b, l))
-            return ad.reshape(x, (n, l))
-
-        return DiagGaussian(mean=per_row(d.mean), log_std=per_row(d.log_std))
+        b, d = pooled.shape[0], 2 * self.config.L
+        out = self._dense(ad.relu(self._dense(pooled, "abl.fc")), "abl.out")
+        out = ad.broadcast_to(ad.reshape(out, (b, 1, d)), (b, n // b, d))
+        return _split_head(out, (self.config.L,))
 
     # -- persistence -------------------------------------------------------
 

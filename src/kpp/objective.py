@@ -16,7 +16,7 @@ formed in float64 (see ``autodiff.mean_``), so ``loss == -elbo`` holds
 exactly whatever the model's dtype.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,34 +76,6 @@ def _episode_stack(episodes, dtype):
     return images
 
 
-def _recon_term(model, logits, target):
-    t = target.shape[0]
-    flat_out = ad.reshape(logits, (t, int(np.prod(logits.shape[1:]))))
-    flat_x = ad.reshape(target, (t, int(np.prod(target.shape[1:]))))
-    if model.config.likelihood == "bernoulli":
-        return bernoulli_log_prob(flat_out, flat_x)
-    return gaussian_log_prob(flat_out, flat_x, model.config.gaussian_std)
-
-
-def read_memory(model, memory: Tensor, squashed_keys):
-    """Crop K traces per sample from its episode's memory: memories
-    (B,C,H,W) and keys (B*T,K,3), T samples per episode -> (B*T,K,C,h,w).
-
-    All B*T*K windows are read in one sampling call, so each memory's image
-    gradient is scattered once rather than once per sample.
-    """
-    b = memory.shape[0]
-    n, k = squashed_keys.shape[:2]
-    if n % b:
-        raise ValueError(f"keys {squashed_keys.shape} do not split evenly over {memory.shape}")
-    traces = stn.sample_traces(
-        memory,
-        ad.reshape(squashed_keys, (b, n // b * k, 3)),
-        model.config.trace_size,
-    )
-    return ad.reshape(traces, (n, k) + traces.shape[2:])
-
-
 def elbo_graph(model: MemoryVAE, episodes, rng):
     """Build the differentiable -elbo loss for one episode or a batch of
     equal-length episodes, in one graph.
@@ -142,7 +114,7 @@ def elbo_graph(model: MemoryVAE, episodes, rng):
         with _Stage("write_memory"):
             memory = model.write_memory(emb, t)
         with _Stage("read_memory"):
-            traces = read_memory(model, memory, y_sq)
+            traces = stn.sample_traces(memory, y_sq, cfg.trace_size)
         with _Stage("readout_prior"):
             zp = model.readout_prior(traces)
         with _Stage("kl_y"):
@@ -157,7 +129,8 @@ def elbo_graph(model: MemoryVAE, episodes, rng):
     with _Stage("decode"):
         logits = model.decode(z)
     with _Stage("recon_ll"):
-        recon_mean = ad.mean_(_recon_term(model, logits, x))
+        recon_mean = ad.mean_(bernoulli_log_prob(logits, x) if cfg.likelihood == "bernoulli"
+                              else gaussian_log_prob(logits, x, cfg.gaussian_std))
 
     with _Stage("elbo"):
         obj = ad.sub(recon_mean, kl_z_mean)
@@ -185,7 +158,8 @@ def _one_memory(memory, what, shape):
 def _read_decode(model, memory, squashed_keys):
     """Read one memory at the keys and decode at the readout prior mean:
     pixel probabilities, or Gaussian means."""
-    out = model.decode(model.readout_prior(read_memory(model, memory, squashed_keys)).mean)
+    traces = stn.sample_traces(memory, squashed_keys, model.config.trace_size)
+    out = model.decode(model.readout_prior(traces).mean)
     return ad.sigmoid(out) if model.config.likelihood == "bernoulli" else out
 
 
@@ -208,8 +182,8 @@ def generate_from_keys(memory: Tensor, raw_keys, model: MemoryVAE) -> np.ndarray
 def perturbed_generate(memory: Tensor, base_keys, eps_std: float, n: int,
                        model: MemoryVAE, rng_seed) -> np.ndarray:
     """Generations from base_keys plus Gaussian key perturbations."""
-    if eps_std <= 0:
-        raise ValueError(f"eps_std must be > 0, got {eps_std}")
+    if not 0 < eps_std < np.inf:  # also fails for NaN
+        raise ValueError(f"eps_std must be finite and > 0, got {eps_std!r}")
     base = np.asarray(base_keys)
     if base.shape != (model.config.K, 3):
         raise ValueError(f"base_keys must be (K, 3), got {base.shape}")

@@ -44,8 +44,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.lr < np.inf:  # also fails for NaN
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.batch_episodes < 1 or self.episodes_per_epoch < self.batch_episodes:

@@ -9,6 +9,10 @@ from kpp.nets import MemoryVAE, ModelConfig
 from kpp.objective import elbo_graph
 
 
+# make_node calls of one default-model training step, and of one eval graph
+STEP_NODES = 97
+
+
 def conv_cfg(**kw):
     """A conv model small enough for finite differences: 8x8 images,
     T=2, K=1, L=4."""

@@ -117,6 +117,9 @@ DIFF_OPS = [
     ("conv_transpose2d_bias",
      lambda a, b, c: ad.conv_transpose2d(a, b, stride=2, pad=1, bias=c),
      lambda rng: [r(rng, 1, 2, 4, 4), r(rng, 2, 2, 3, 3) * 0.5, r(rng, 2)]),
+    # N = 2B: two key rows read each memory, as T samples of an episode do
+    ("sample_traces_2_rows", lambda m, k: sample_traces(m, k, (3, 3)),
+     lambda rng: [r(rng, 2, 2, 5, 5), clean_keys(rng, 4, 2)]),
 ]
 
 

@@ -157,6 +157,21 @@ class TestTrain:
                   "--out", str(tmp_path / "div")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--lr", "nan"], "--lr"), (["--lr", "inf"], "--lr"),
+        (["--weight-decay", "nan"], "--weight-decay"),
+        (["--likelihood", "gaussian", "--sigma", "nan"], "--sigma")],
+        ids=["lr-nan", "lr-inf", "weight-decay-nan", "sigma-nan"])
+    def test_non_finite_flag_rejected_before_writing(self, tmp_path, monkeypatch, capsys,
+                                                     argv, flag):
+        calls = []
+        monkeypatch.setattr(trainer_mod, "train", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "nan"
+        assert run(["train", "--data", "synth", *FAST, *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"kpp: error: {flag} must be finite")
+        assert calls == []
+        assert not out.exists()
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--frobnicate", "3"])
@@ -166,6 +181,41 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 1
+
+
+class TestSeedFlags:
+    """A seed that is negative or not an integer exits 1 naming its flag,
+    before a manifest is written or anything trains."""
+
+    @pytest.mark.parametrize("command", ["train", "generate", "denoise", "eval"])
+    @pytest.mark.parametrize("value", ["-3", "x", "1.5"])
+    def test_bad_seed(self, ckpt_dir, tmp_path, capsys, command, value):
+        out = tmp_path / "o"
+        argv = (["eval", "--ckpt", str(ckpt_dir / "final.bin")] if command == "eval"
+                else command_argv(command, ckpt_dir) + ["--out", str(out)])
+        assert exit_code(argv + [f"--seed={value}"]) == 1
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["1,-3", "1,x", "-1"])
+    def test_bad_seeds(self, tmp_path, monkeypatch, capsys, seeds):
+        calls = []
+        monkeypatch.setattr(trainer_mod, "train", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "a"
+        assert exit_code(["ablate", "--data", "synth", *FAST, f"--seeds={seeds}",
+                          "--out", str(out)]) == 1
+        assert "argument --seeds: must be a non-negative integer" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_seed_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        out = tmp_path / "o"
+        assert exit_code(["train", "--data", "synth", *FAST, "--config", str(cfg),
+                          "--out", str(out)]) == 1
+        assert "argument --seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -302,7 +352,8 @@ class TestGenerate:
                   "--out", str(tmp_path / "g")])
         assert rc == 1
 
-    @pytest.mark.parametrize("flag,value", [("--perturb", "-0.5"), ("--n", "0")])
+    @pytest.mark.parametrize("flag,value", [("--perturb", "-0.5"), ("--perturb", "nan"),
+                                            ("--perturb", "inf"), ("--n", "0")])
     def test_bad_count_or_scale_rejected(self, ckpt_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "g"
         rc = run(["generate", "--ckpt", str(ckpt_dir / "final.bin"),

@@ -60,6 +60,9 @@ class TestModelConfig:
             ModelConfig(likelihood="laplace")
         with pytest.raises(ValueError):
             ModelConfig(likelihood="gaussian", gaussian_std=0.0)
+        for std in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="gaussian_std must be finite"):
+                ModelConfig(likelihood="gaussian", gaussian_std=std)
 
     def test_conv_divisibility(self):
         with pytest.raises(ValueError):

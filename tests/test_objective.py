@@ -19,12 +19,11 @@ from kpp.objective import (
     generate,
     iterative_read,
     perturbed_generate,
-    read_memory,
 )
 from kpp.stn import sample_traces
 from kpp.trainer import eval_conditional
 
-from conftest import conv_cfg, float64, randomize, rel_err
+from conftest import STEP_NODES, conv_cfg, float64, randomize, rel_err
 from test_stn import reference_crop
 
 
@@ -201,7 +200,7 @@ class TestHandModelOracle:
         randomize(model, rng, scale=0.5)
         memory = model.write_memory(model.encode(ad.constant(rng.random((3, 1, 1, 1)))))
         keys = np.tanh(rng.normal(size=(3, 2, 3)))
-        traces = read_memory(model, memory, ad.constant(keys))
+        traces = sample_traces(memory, ad.constant(keys), model.config.trace_size)
         assert traces.shape == (3, 2, 1, 2, 2)
         for t in range(3):
             for k in range(2):
@@ -367,24 +366,10 @@ class TestEpisodeBatch:
         with pytest.raises(ValueError):
             elbo_graph(model, episodes, 0)
 
-    def test_read_memory_reads_own_memory(self, rng):
-        """Samples of episode b read memory b: one sampling call over the
-        batch equals each episode's own read."""
-        model = MemoryVAE(conv_cfg(K=2), seed=13)
-        memory = ad.constant(rng.normal(size=(3, 1, 16, 16)))
-        keys = np.tanh(rng.normal(size=(6, 2, 3)))
-        both = read_memory(model, memory, ad.constant(keys)).data
-        assert both.shape == (6, 2, 1, 4, 4)
-        for e in range(3):
-            alone = read_memory(model, ad.constant(memory.data[e:e + 1]),
-                                ad.constant(keys[2 * e:2 * e + 2])).data
-            assert np.array_equal(both[2 * e:2 * e + 2], alone)
-
 
 class TestOneMemoryReads:
-    """A read that takes one memory rejects a stack of memories, and a
-    batched read rejects keys that do not split evenly over its memories,
-    instead of splitting the keys between them."""
+    """A read that takes one memory rejects a stack of memories instead of
+    splitting the keys between them."""
 
     @pytest.fixture
     def two(self, rng):
@@ -407,13 +392,6 @@ class TestOneMemoryReads:
             with pytest.raises(ValueError, match="one memory") as err:
                 read()
             assert "(1, 8, 8)" in str(err.value) and "(2, 1, 16, 16)" in str(err.value)
-
-    def test_read_memory_uneven_split(self, two):
-        model, memory, _ = two
-        keys = ad.constant(np.zeros((5, 1, 3)))
-        with pytest.raises(ValueError, match="split evenly") as err:
-            read_memory(model, memory, keys)
-        assert "(5, 1, 3)" in str(err.value) and "(2, 1, 16, 16)" in str(err.value)
 
 
 def make_trained_ish(rng, **kw):
@@ -481,8 +459,9 @@ class TestPerturbedGenerate:
         a = perturbed_generate(memory, base, 0.1, 3, model, rng_seed=8)
         b = perturbed_generate(memory, base, 0.1, 3, model, rng_seed=8)
         assert a.shape == (3, 1, 8, 8) and np.array_equal(a, b)
-        with pytest.raises(ValueError):
-            perturbed_generate(memory, base, 0.0, 3, model, rng_seed=8)
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps_std"):
+                perturbed_generate(memory, base, eps, 3, model, rng_seed=8)
         with pytest.raises(ValueError):
             perturbed_generate(memory, np.zeros((2, 3)), 0.1, 3, model, rng_seed=8)
 
@@ -499,7 +478,7 @@ class TestIterativeRead:
         kq = model.key_posterior(emb)
         eps = rr.standard_normal((1, model.config.K, 3))
         y = kq.mean.data + np.exp(kq.log_std.data) * eps
-        traces = read_memory(model, memory, ad.constant(np.tanh(y)))
+        traces = sample_traces(memory, ad.constant(np.tanh(y)), model.config.trace_size)
         zp = model.readout_prior(traces)
         want = ad.sigmoid(model.decode(zp.mean)).data[0]
         assert np.max(np.abs(got[0] - want)) <= 1e-12
@@ -567,8 +546,8 @@ class TestGraphSize:
         monkeypatch.setattr(ad, "make_node", counted)
         return count
 
-    @pytest.mark.parametrize("kw,expect", [({}, 104), ({"ablation": True}, 68),
-                                           ({"likelihood": "gaussian"}, 106)],
+    @pytest.mark.parametrize("kw,expect", [({}, STEP_NODES), ({"ablation": True}, 60),
+                                           ({"likelihood": "gaussian"}, 99)],
                              ids=["memory", "no-memory", "gaussian"])
     def test_training_step(self, nodes, kw, expect):
         model = MemoryVAE(ModelConfig(**kw), seed=1)
@@ -582,7 +561,7 @@ class TestGraphSize:
         is one graph of a training step's size, 256 images are four."""
         model = MemoryVAE(ModelConfig(), seed=1)
         eval_conditional(model, synth_shapes(n_images, 16, 16, seed=3, split="test"), 8, 0)
-        assert nodes[0] == graphs * 104
+        assert nodes[0] == graphs * STEP_NODES
 
     def test_read_step_and_generate(self, nodes):
         model = MemoryVAE(ModelConfig(), seed=1)
@@ -590,7 +569,7 @@ class TestGraphSize:
         memory = model.write_memory(model.encode(ad.constant(images)))
         nodes[0] = 0
         iterative_read(memory, images[0], 3, model, 5)
-        assert nodes[0] == 3 * 46
+        assert nodes[0] == 3 * 42
         nodes[0] = 0
         generate(memory, 4, model, 6)
-        assert nodes[0] == 25
+        assert nodes[0] == 22

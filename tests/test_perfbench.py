@@ -19,6 +19,8 @@ import sys
 
 import pytest
 
+from conftest import STEP_NODES
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
 
@@ -30,9 +32,9 @@ TRACED_PER_STEP = {
     "kernels.bilinear_forward.calls_per_step": 1,
     "kernels.bilinear_image_grad.calls_per_step": 1,
     "kernels.bilinear_grid_grad.calls_per_step": 1,
-    "autodiff.nodes_per_step": 104,
+    "autodiff.nodes_per_step": STEP_NODES,
     # per eval: the test split's episodes, 8 to a graph, make one graph
-    "autodiff.make_node.calls": 104,
+    "autodiff.make_node.calls": STEP_NODES,
 }
 
 RUNS = [("train-default", 0), ("train-long-episode", 0), ("train-no-memory", 0),

@@ -283,6 +283,24 @@ class TestBatchedSampling:
                 ref = reference_crop(mems[b], keys[b, k], 4, 4)
                 assert np.max(np.abs(out[b, k] - ref)) <= 1e-10
 
+    def test_rows_read_own_memory(self, rng):
+        """N = 2B key rows: rows 2b and 2b+1 read memory b, as one node's
+        read equals each memory's own read."""
+        memory = rng.normal(size=(3, 1, 16, 16))
+        keys = np.tanh(rng.normal(size=(6, 2, 3)))
+        both = sample_traces(ad.constant(memory), ad.constant(keys), (4, 4)).data
+        assert both.shape == (6, 2, 1, 4, 4)
+        for e in range(3):
+            alone = sample_traces(ad.constant(memory[e:e + 1]),
+                                  ad.constant(keys[2 * e:2 * e + 2]), (4, 4)).data
+            assert np.array_equal(both[2 * e:2 * e + 2], alone)
+
+    def test_uneven_split_rejected(self):
+        with pytest.raises(ValueError, match="B dividing N") as err:
+            sample_traces(ad.constant(np.zeros((2, 1, 16, 16))),
+                          ad.constant(np.zeros((5, 1, 3))), (4, 4))
+        assert "(5, 1, 3)" in str(err.value) and "(2, 1, 16, 16)" in str(err.value)
+
     def test_grid_shape_validation(self):
         with pytest.raises(ValueError, match="keys"):
             sample_traces(ad.constant(np.zeros((2, 1, 4, 4))), ad.constant(np.zeros((2, 3))),

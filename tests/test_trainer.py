@@ -166,6 +166,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             small_train_cfg(batch_episodes=8, episodes_per_epoch=4)
 
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rates_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_train_cfg(**{field: value})
+
 
 class TestMetrics:
     def test_row_formatting(self):
