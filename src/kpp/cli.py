@@ -238,8 +238,8 @@ def cmd_denoise(args, argv):
         ("--noise", kind, kind in data_mod.NOISE_KINDS, f"one of {data_mod.NOISE_KINDS}"),
         ("--n", n, n >= 1, ">= 1"), ("--steps", steps, steps >= 1, ">= 1"),
         ("--rate", args.rate, 0 <= args.rate <= 1, "in [0, 1]"),
-        ("--std", args.std, args.std >= 0, ">= 0"),
-        ("--scale", args.scale, args.scale > 0, "> 0"))
+        ("--std", args.std, 0 <= args.std < np.inf, "finite and >= 0"),
+        ("--scale", args.scale, 0 < args.scale < np.inf, "finite and > 0"))
     out_dir = args.out or os.path.join("runs", "denoise")
     _write_manifest(out_dir, argv, args)
     _, test_set = _load_corpus(args.data, args.binarize)

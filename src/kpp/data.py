@@ -139,13 +139,13 @@ def inject_noise(image, kind, seed, rate=0.1, std=0.3, scale=30.0):
         out[(u >= rate / 2) & (u < rate)] = 1.0
         return out
     if kind == "speckle":
-        if not std >= 0.0:
-            raise ValueError(f"speckle std must be >= 0, got {std}")
+        if not 0.0 <= std < np.inf:
+            raise ValueError(f"speckle std must be finite and >= 0, got {std}")
         eps = rng.normal(0.0, std, size=image.shape)
         return np.clip(image * (1.0 + eps), 0.0, 1.0)
     if kind == "poisson":
-        if scale <= 0:
-            raise ValueError(f"poisson scale must be > 0, got {scale}")
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"poisson scale must be finite and > 0, got {scale}")
         return np.clip(rng.poisson(image * scale) / scale, 0.0, 1.0)
     raise ValueError(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
 

@@ -18,7 +18,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # test episodes per eval graph: with no backward state, 8 peak below a 4-episode
-# training step (tracemalloc: 3.2 against 11.0 MB at T=8, 19.7 against 41.8 at T=32)
+# training step (tracemalloc: 3.2 against 5.2 MB at T=8, 19.6 against 23.6 at T=32)
 _EVAL_CHUNK = 8
 
 METRICS_HEADER = ["epoch", "split", "elbo", "recon_ll", "kl_z", "kl_y",
@@ -203,9 +203,6 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             acc += len(episodes) * np.array((bd.recon_ll, bd.kl_z, bd.kl_y))
             n_acc += len(episodes)
             adam_step(params, [p.grad for p in params], state, lr, config.weight_decay)
-            # the graph and its gradients must not outlive the step: the
-            # epoch's eval would build its own graph next to them
-            del loss
 
         recon, kl_z, kl_y = acc / n_acc
         train_elbo = recon - kl_z - kl_y

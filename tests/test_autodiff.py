@@ -1,5 +1,7 @@
 """Gradient and graph-mechanics checks for the tensor engine."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,18 @@ def test_unary_gradients(name, op, make):
             x = x + 0.1 * np.sign(x)
         worst = check_op_gradient(op, [x], seed=draw)
         assert worst <= 1e-4, f"{name} draw {draw}: rel err {worst}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_value_matches_logaddexp(dtype):
+    """softplus is within 4 ulp of np.logaddexp(0, x) over [-100, 100] in
+    its input's dtype (3 ulp measured), far tails included."""
+    x = np.concatenate([np.linspace(-100.0, 100.0, 200_001), [-100.0, 100.0, 0.0, 1e-30]])
+    x = x.astype(dtype)
+    out = ad.softplus(ad.constant(x)).data
+    want = np.logaddexp(dtype(0), x)
+    assert out.dtype == dtype
+    assert np.all(np.abs(out - want) <= 4 * np.spacing(np.abs(want)))
 
 
 BINARY_OPS = [
@@ -316,16 +330,16 @@ def _grad_cases(rng):
 
 
 def test_first_gradient_is_a_private_copy(rng):
-    """Each tensor's first gradient is its own array: right values, and
-    writing into one tensor's grad leaves every other grad in the graph
+    """Each leaf's first gradient is its own array: right values, and
+    writing into one leaf's grad leaves every other leaf's grad
     unchanged."""
     for name, out, expect in _grad_cases(rng):
         ad.backward(ad.sum_(out))
         for t, want in expect:
             assert np.array_equal(t.grad, want), name
-        graded = [node for node in ad._topo_order(out) if node.grad is not None]
+        # backward leaves .grad on leaves only
         for t, _ in expect:
-            others = [(node, node.grad.copy()) for node in graded if node is not t]
+            others = [(node, node.grad.copy()) for node, _ in expect if node is not t]
             t.grad[...] = 7.0
             assert all(np.array_equal(node.grad, old) for node, old in others), name
 
@@ -376,6 +390,37 @@ def test_double_backward_rejected(rng):
     ad.backward(loss)
     with pytest.raises(GraphError):
         ad.backward(loss)
+
+
+def test_backward_consumes_the_graph(rng):
+    """backward frees each intermediate once the pass is done with it: the
+    conv and relu outputs die while the loss lives, leaves keep their
+    gradients and the loss its own, and the graph cannot be walked again."""
+    x = ad.tensor(r(rng, 2, 3, 6, 6), requires_grad=True)
+    w = ad.parameter(r(rng, 4, 3, 3, 3))
+    conv = ad.conv2d(x, w, pad=1)
+    act = ad.relu(conv)
+    loss = ad.sum_(act)
+    conv_data, act_data = weakref.ref(conv.data), weakref.ref(act.data)
+    del conv, act
+    assert conv_data() is not None and act_data() is not None
+    ad.backward(loss)
+    assert conv_data() is None and act_data() is None
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert loss.grad == 1.0
+    with pytest.raises(GraphError):
+        ad.backward(loss)
+
+
+def test_consumed_graph_rejected_in_a_new_one(rng):
+    """A tensor of a consumed graph that a new gradient reaches raises,
+    rather than passing for a leaf and leaving the parameters under it
+    without their share."""
+    w = ad.parameter(r(rng, 3))
+    y = ad.mul(w, w)
+    ad.backward(ad.sum_(y))
+    with pytest.raises(GraphError, match="consumed"):
+        ad.backward(ad.sum_(ad.mul(y, ad.constant(2.0))))
 
 
 def test_nonfinite_forward_rejected():

@@ -394,7 +394,9 @@ class TestDenoise:
 
     @pytest.mark.parametrize("flag,value,rule", [
         ("--rate", "1.5", "in [0, 1]"), ("--rate", "-0.1", "in [0, 1]"),
-        ("--std", "-1", ">= 0"), ("--scale", "0", "> 0")])
+        ("--std", "-1", "finite and >= 0"), ("--std", "inf", "finite and >= 0"),
+        ("--std", "nan", "finite and >= 0"), ("--scale", "0", "finite and > 0"),
+        ("--scale", "inf", "finite and > 0"), ("--scale", "nan", "finite and > 0")])
     def test_bad_noise_level_rejected(self, ckpt_dir, tmp_path, capsys, flag, value, rule):
         """Every noise flag is checked, whichever --noise uses it."""
         out = tmp_path / "d"

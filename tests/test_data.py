@@ -207,8 +207,12 @@ class TestInjectNoise:
             inject_noise(img, "salt_pepper", seed=0, rate=1.5)
         with pytest.raises(ValueError):
             inject_noise(img, "poisson", seed=0, scale=0.0)
-        with pytest.raises(ValueError, match="std"):
-            inject_noise(img, "speckle", seed=0, std=-1.0)
+        for std in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="std"):
+                inject_noise(img, "speckle", seed=0, std=std)
+        for scale in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="scale"):
+                inject_noise(img, "poisson", seed=0, scale=scale)
         with pytest.raises(ValueError):
             inject_noise(img, "gaussian_blur", seed=0)
         with pytest.raises(ValueError):

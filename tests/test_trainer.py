@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,41 @@ class TestEvalConditional:
             rows.append([row.elbo, row.recon_ll, row.kl_z, row.kl_y])
         for got in rows[1:]:
             assert rel_err(got, rows[0], floor=1e-300) <= 1e-12
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("t,k", [(8, 2), (32, 4)], ids=["T8", "T32"])
+    def test_backward_peak_within_budget(self, capsys, t, k):
+        """On the default model, one 4-episode step's tracemalloc peak during
+        backward is at most 1.5x what the graph holds when elbo_graph
+        returns, since backward frees the graph as it goes; an 8-episode
+        eval graph, which keeps no backward state, peaks below that step."""
+        model = MemoryVAE(ModelConfig(T=t, K=k), seed=1)
+        images = synth_shapes(8 * t, 16, 16, seed=3).images.reshape(
+            (8, t) + model.config.image_shape)
+        frozen = trainer._constants(model)
+        ad.backward(elbo_graph(model, images[:4], 0)[0])  # fill lazy caches
+        ad.zero_grad(model.trainable())  # as a training step starts
+        tracemalloc.start()
+        try:
+            loss, _ = elbo_graph(model, images[:4], 0)
+            graph = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            step = tracemalloc.get_traced_memory()[1]
+            del loss
+            tracemalloc.stop()
+            tracemalloc.start()
+            elbo_graph(frozen, images, 0)
+            eval_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with capsys.disabled():
+            print(f"\n[memory] T={t} K={k}: graph {graph / 1e6:.1f} MB when elbo_graph "
+                  f"returns, backward peak {step / 1e6:.1f} MB ({step / graph:.2f}x, budget 1.5x), "
+                  f"8-episode eval graph peak {eval_peak / 1e6:.1f} MB", flush=True)
+        assert step <= 1.5 * graph
+        assert eval_peak < step
 
 
 class TestTrain:
