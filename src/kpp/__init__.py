@@ -19,7 +19,7 @@ from .distributions import (
     kl_to_standard_normal,
     reparam_sample,
 )
-from .nets import Episode, MemoryVAE, ModelConfig, load_checkpoint, save_checkpoint
+from .nets import MemoryVAE, ModelConfig, load_checkpoint, save_checkpoint
 from .objective import ElboBreakdown, denoise, elbo_graph, generate, iterative_read, perturbed_generate
 from .trainer import DivergenceError, MetricsRow, TrainConfig, adam_step, eval_conditional, lr_at, train
 

@@ -154,7 +154,8 @@ def _train_config(args, train_set, seed):
     _check_flags(("--lr", args.lr, 0 < args.lr < np.inf, "finite and > 0"),
                  ("--weight-decay", args.weight_decay, 0 <= args.weight_decay < np.inf,
                   "finite and >= 0"),
-                 ("--sigma", args.sigma, 0 < args.sigma < np.inf, "finite and > 0"))
+                 ("--sigma", args.sigma, 0 < args.sigma < np.inf, "finite and > 0"),
+                 ("--warmup", args.warmup, args.warmup >= 0, ">= 0"))
     model_cfg = ModelConfig(
         image_shape=train_set.image_shape, T=args.T, K=args.K, L=args.L,
         likelihood=args.likelihood, gaussian_std=args.sigma,
@@ -202,7 +203,7 @@ def cmd_generate(args, argv):
     _write_manifest(out_dir, argv, args)
     _, test_set = _load_corpus(args.data, args.binarize)
     episode = data_mod.episode_grid(test_set, model.config.T, [seed, 10])
-    memory = model.write_memory(model.encode(ad.constant(episode.images)))
+    memory = model.write_memory(model.encode(episode.images))
     # one key set per image, or one base key set to perturb
     keys = np.random.default_rng([seed, 11]).standard_normal(
         (1 if perturb > 0 else n, model.config.K, 3))
@@ -239,7 +240,8 @@ def cmd_denoise(args, argv):
         ("--n", n, n >= 1, ">= 1"), ("--steps", steps, steps >= 1, ">= 1"),
         ("--rate", args.rate, 0 <= args.rate <= 1, "in [0, 1]"),
         ("--std", args.std, 0 <= args.std < np.inf, "finite and >= 0"),
-        ("--scale", args.scale, 0 < args.scale < np.inf, "finite and > 0"))
+        ("--scale", args.scale, 0 < args.scale <= data_mod.MAX_POISSON_SCALE,
+         f"finite and > 0, at most {data_mod.MAX_POISSON_SCALE:g}"))
     out_dir = args.out or os.path.join("runs", "denoise")
     _write_manifest(out_dir, argv, args)
     _, test_set = _load_corpus(args.data, args.binarize)
@@ -248,10 +250,9 @@ def cmd_denoise(args, argv):
     done = 0
     while done < n:
         episode = sampler.sample()
-        emb = model.encode(ad.constant(episode.images))
-        memory = model.write_memory(emb)
+        memory = model.write_memory(model.encode(episode))
         for i in range(min(t, n - done)):
-            clean = episode.images[i]
+            clean = episode[i]
             noisy, traj, errors = objective.denoise(
                 memory, clean, kind, steps, model, [seed, 21, done],
                 rate=args.rate, std=args.std, scale=args.scale,

@@ -1,13 +1,12 @@
-"""Dataset ingestion, episode sampling, noise injection, PGM export."""
+"""Dataset ingestion, episode sampling (plain (T,C,H,W) arrays), noise injection, PGM export."""
 
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import Episode
-
 NOISE_KINDS = ("salt_pepper", "speckle", "poisson")
+MAX_POISSON_SCALE = 1e18  # NumPy's Poisson sampler rejects rates above about 9.2e18
 
 
 @dataclass
@@ -142,10 +141,13 @@ def inject_noise(image, kind, seed, rate=0.1, std=0.3, scale=30.0):
         if not 0.0 <= std < np.inf:
             raise ValueError(f"speckle std must be finite and >= 0, got {std}")
         eps = rng.normal(0.0, std, size=image.shape)
-        return np.clip(image * (1.0 + eps), 0.0, 1.0)
+        # zero pixels stay zero: eps overflows to +-inf for std near 1e308, and 0 * inf is NaN
+        out = np.multiply(image, 1.0 + eps, out=np.zeros_like(image), where=image > 0)
+        return np.clip(out, 0.0, 1.0)
     if kind == "poisson":
-        if not 0.0 < scale < np.inf:
-            raise ValueError(f"poisson scale must be finite and > 0, got {scale}")
+        if not 0.0 < scale <= MAX_POISSON_SCALE:
+            raise ValueError(f"poisson scale must be finite and > 0, at most "
+                             f"{MAX_POISSON_SCALE:g}, got {scale}")
         return np.clip(rng.poisson(image * scale) / scale, 0.0, 1.0)
     raise ValueError(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
 
@@ -158,7 +160,7 @@ def check_episode_length(t, *splits, name="episode length"):
 
 
 class EpisodeSampler:
-    """Draws exchangeable episodes of T distinct images from a dataset."""
+    """Draws exchangeable episodes, (T,C,H,W) arrays of T distinct images, from a dataset."""
 
     def __init__(self, dataset: Dataset, t: int, seed):
         if t < 1:
@@ -168,17 +170,18 @@ class EpisodeSampler:
         self.t = t
         self._rng = np.random.default_rng(seed)
 
-    def sample(self) -> Episode:
+    def sample(self) -> np.ndarray:
         ids = self._rng.choice(len(self.dataset), size=self.t, replace=False)
-        return Episode(images=self.dataset.images[ids].copy(), dataset_ids=ids.tolist())
+        return self.dataset.images[ids]
 
-    def sample_batch(self, n) -> list:
-        return [self.sample() for _ in range(n)]
+    def sample_batch(self, n) -> np.ndarray:
+        """n episodes (n, T, C, H, W), drawn as n successive ``sample`` calls."""
+        return np.stack([self.sample() for _ in range(n)])
 
 
-def episode_grid(dataset: Dataset, t: int, seed) -> Episode:
-    """One deterministic episode from a dataset (convenience wrapper)."""
-    return EpisodeSampler(dataset, t, seed).sample()
+def episode_grid(dataset: Dataset, t: int, seed) -> Dataset:
+    """A sampler's first episode under seed, as a Dataset with the split's name."""
+    return Dataset(images=EpisodeSampler(dataset, t, seed).sample(), split=dataset.split)
 
 
 def save_pgm(path, image):

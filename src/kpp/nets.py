@@ -37,21 +37,6 @@ _RETIRED = {"tsm": True, "log_std_min": LOG_STD_MIN, "log_std_max": LOG_STD_MAX}
 
 
 @dataclass
-class Episode:
-    """T images stacked (T, C, H, W) plus their source dataset indices."""
-
-    images: np.ndarray
-    dataset_ids: list
-
-    def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
-        if self.images.ndim != 4 or self.images.shape[0] < 1:
-            raise ValueError(f"episode images must be (T,C,H,W), got {self.images.shape}")
-        if len(self.dataset_ids) != self.images.shape[0]:
-            raise ValueError("dataset_ids length must equal episode length")
-
-
-@dataclass
 class ModelConfig:
     image_shape: tuple = (1, 16, 16)
     T: int = 8

@@ -30,7 +30,7 @@ from .distributions import (
     kl_to_standard_normal,
     reparam_sample,
 )
-from .nets import Episode, MemoryVAE
+from .nets import MemoryVAE
 from . import data as data_mod
 
 
@@ -62,12 +62,8 @@ class _Stage:
 
 
 def _episode_stack(episodes, dtype):
-    """Images (B, T, C, H, W) in dtype of one episode (an Episode or a
-    (T,C,H,W) array) or of a sequence of B equal-length episodes."""
-    if isinstance(episodes, Episode):
-        episodes = episodes.images[None]
-    elif isinstance(episodes, (list, tuple)) and episodes and isinstance(episodes[0], Episode):
-        episodes = [ep.images for ep in episodes]
+    """Images (B, T, C, H, W) in dtype of one (T,C,H,W) episode or of B
+    equal-length episodes (B,T,C,H,W)."""
     images = np.asarray(episodes, dtype=dtype)
     if images.ndim == 4:
         images = images[None]
@@ -77,8 +73,8 @@ def _episode_stack(episodes, dtype):
 
 
 def elbo_graph(model: MemoryVAE, episodes, rng):
-    """Build the differentiable -elbo loss for one episode or a batch of
-    equal-length episodes, in one graph.
+    """Build the differentiable -elbo loss for one episode (T,C,H,W) or a
+    batch of equal-length episodes (B,T,C,H,W), in one graph.
 
     Returns (loss Tensor, ElboBreakdown).  The loss is the negative mean
     elbo over the episodes' images, which is the mean over episodes of each
@@ -207,7 +203,7 @@ def iterative_read(memory: Tensor, x_init, steps: int, model: MemoryVAE,
     _one_memory(memory, "image", x_hat.shape)
     trajectory = []
     for _ in range(steps):
-        emb = model.encode(ad.constant(x_hat[None]))
+        emb = model.encode(x_hat[None])
         kq = model.key_posterior(emb)
         eps_y = ad.constant(rng.standard_normal((1, model.config.K, 3)).astype(model.dtype))
         x_hat = _read_decode(model, memory, ad.tanh(reparam_sample(kq, eps_y))).data[0].copy()

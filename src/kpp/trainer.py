@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        if self.warmup_epochs < 0:
+            raise ValueError(f"warmup_epochs must be >= 0, got {self.warmup_epochs!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.batch_episodes < 1 or self.episodes_per_epoch < self.batch_episodes:

@@ -21,7 +21,7 @@ from kpp import autodiff as ad
 from kpp import data as data_mod
 from kpp.cli import (SYNTH_SIDE, SYNTH_TEST_N, SYNTH_TEST_SEED,
                      SYNTH_TRAIN_N, SYNTH_TRAIN_SEED, main)
-from kpp.nets import Episode, MemoryVAE, ModelConfig, tsm_shift
+from kpp.nets import MemoryVAE, ModelConfig, tsm_shift
 from kpp.objective import denoise, elbo_graph, generate
 from kpp.stn import sample_traces
 from kpp.trainer import TrainConfig, eval_conditional, train
@@ -138,13 +138,12 @@ def test_c1_gradient_correctness(capsys, rng):
     model = float64(MemoryVAE(conv_cfg(), seed=16))
     randomize(model, rng, scale=0.1)
     images = (rng.random((2, 1, 8, 8)) < 0.5).astype(np.float64)
-    ep = Episode(images=images, dataset_ids=[0, 1])
 
     def scalar():
-        loss, _ = elbo_graph(model, ep, np.random.default_rng(77))
+        loss, _ = elbo_graph(model, images, np.random.default_rng(77))
         return float(loss.data)
 
-    loss, _ = elbo_graph(model, ep, np.random.default_rng(77))
+    loss, _ = elbo_graph(model, images, np.random.default_rng(77))
     ad.backward(loss)
     grads = {n: p.grad.copy() for n, p in model.params.items()}
     names = sorted(model.params)
@@ -403,10 +402,9 @@ def test_c6_denoising_property(capsys, synth_runs):
         done = 0
         while done < 20:
             ep = sampler.sample()
-            emb = model.encode(ad.constant(ep.images))
-            memory = model.write_memory(emb)
+            memory = model.write_memory(model.encode(ep))
             for i in range(min(8, 20 - done)):
-                _, _, errors = denoise(memory, ep.images[i], kind, 10, model,
+                _, _, errors = denoise(memory, ep[i], kind, 10, model,
                                        [1, 21, done], rate=0.1, std=0.3,
                                        scale=30.0)
                 first.append(errors[0])

@@ -172,6 +172,22 @@ class TestTrain:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_warmup_rejected_before_writing(self, tmp_path, monkeypatch, capsys,
+                                                     source):
+        calls = []
+        monkeypatch.setattr(trainer_mod, "train", lambda *a, **kw: calls.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("warmup = -3\n")
+        fast = FAST[:-2]  # without FAST's --warmup, which would override the file
+        assert FAST[-2] == "--warmup"
+        given = ["--warmup", "-3"] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert run(["train", "--data", "synth", *fast, *given, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("kpp: error: --warmup must be >= 0, got -3")
+        assert calls == []
+        assert not out.exists()
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--frobnicate", "3"])
@@ -396,7 +412,8 @@ class TestDenoise:
         ("--rate", "1.5", "in [0, 1]"), ("--rate", "-0.1", "in [0, 1]"),
         ("--std", "-1", "finite and >= 0"), ("--std", "inf", "finite and >= 0"),
         ("--std", "nan", "finite and >= 0"), ("--scale", "0", "finite and > 0"),
-        ("--scale", "inf", "finite and > 0"), ("--scale", "nan", "finite and > 0")])
+        ("--scale", "inf", "finite and > 0"), ("--scale", "nan", "finite and > 0"),
+        ("--scale", "1e19", "finite and > 0, at most 1e+18")])
     def test_bad_noise_level_rejected(self, ckpt_dir, tmp_path, capsys, flag, value, rule):
         """Every noise flag is checked, whichever --noise uses it."""
         out = tmp_path / "d"

@@ -210,43 +210,56 @@ class TestInjectNoise:
         for std in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="std"):
                 inject_noise(img, "speckle", seed=0, std=std)
-        for scale in (np.inf, np.nan):
+        for scale in (np.inf, np.nan, 1e19, 1.01e18):
             with pytest.raises(ValueError, match="scale"):
                 inject_noise(img, "poisson", seed=0, scale=scale)
         with pytest.raises(ValueError):
             inject_noise(img, "gaussian_blur", seed=0)
         with pytest.raises(ValueError):
             inject_noise(img * 3.0, "speckle", seed=0)
+        # the largest accepted levels still give pixels in [0, 1], zeros kept
+        img = rng.random((1, 8, 8)) * (rng.random((1, 8, 8)) < 0.5)
+        for kind, level in (("speckle", dict(std=1e308)),
+                            ("speckle", dict(std=np.finfo(np.float64).max)),
+                            ("poisson", dict(scale=1e18))):
+            out = inject_noise(img, kind, seed=0, **level)
+            assert out.min() >= 0.0 and out.max() <= 1.0, kind
+            assert np.all(out[img == 0] == 0.0), kind
 
 
 class TestEpisodeSampler:
     def test_no_duplicates(self):
-        d = synth_shapes(20, 16, 16, seed=0)
+        levels = np.linspace(0.0, 1.0, 20)  # every image distinct
+        d = Dataset(images=np.broadcast_to(levels[:, None, None, None], (20, 1, 16, 16)))
         s = EpisodeSampler(d, t=8, seed=1)
         for _ in range(20):
             ep = s.sample()
-            assert len(set(ep.dataset_ids)) == 8
-            assert ep.images.shape == (8, 1, 16, 16)
+            assert ep.shape == (8, 1, 16, 16)
+            assert len(np.unique(ep[:, 0, 0, 0])) == 8
 
     def test_images_match_ids(self):
+        """Each draw is the images at the indices the seed's generator
+        chooses, draw after draw, whatever form the seed takes."""
         d = synth_shapes(20, 16, 16, seed=0)
-        ep = EpisodeSampler(d, t=5, seed=2).sample()
-        for i, idx in enumerate(ep.dataset_ids):
-            assert np.array_equal(ep.images[i], d.images[idx])
+        for seed in (2, [7, 1], np.random.SeedSequence([1, 20])):
+            s = EpisodeSampler(d, t=5, seed=seed)
+            rng = np.random.default_rng(seed)
+            for _ in range(4):
+                assert np.array_equal(s.sample(), d.images[rng.choice(len(d), 5, replace=False)])
 
     def test_deterministic_stream(self):
         d = synth_shapes(20, 16, 16, seed=0)
-        a = [EpisodeSampler(d, 4, seed=3).sample().dataset_ids for _ in range(1)]
-        b = [EpisodeSampler(d, 4, seed=3).sample().dataset_ids for _ in range(1)]
-        assert a == b
-        s = EpisodeSampler(d, 4, seed=3)
-        first, second = s.sample().dataset_ids, s.sample().dataset_ids
-        assert first != second  # the stream advances
+        a, b = EpisodeSampler(d, 4, seed=3), EpisodeSampler(d, 4, seed=3)
+        first = a.sample()
+        assert np.array_equal(first, b.sample())
+        assert not np.array_equal(first, a.sample())  # the stream advances
 
     def test_batch(self):
         d = synth_shapes(20, 16, 16, seed=0)
         batch = EpisodeSampler(d, 4, seed=5).sample_batch(3)
-        assert len(batch) == 3
+        s = EpisodeSampler(d, 4, seed=5)
+        assert batch.shape == (3, 4, 1, 16, 16)
+        assert np.array_equal(batch, np.stack([s.sample() for _ in range(3)]))
 
     def test_episode_longer_than_dataset_rejected(self):
         d = synth_shapes(4, 16, 16, seed=0)
@@ -256,10 +269,10 @@ class TestEpisodeSampler:
             EpisodeSampler(d, t=0, seed=0)
 
     def test_episode_grid_wrapper(self):
-        d = synth_shapes(10, 16, 16, seed=0)
-        a = episode_grid(d, 4, seed=6)
-        b = episode_grid(d, 4, seed=6)
-        assert a.dataset_ids == b.dataset_ids
+        d = synth_shapes(10, 16, 16, seed=0, split="test")
+        grid = episode_grid(d, 4, seed=6)
+        assert isinstance(grid, Dataset) and grid.split == "test"
+        assert np.array_equal(grid.images, EpisodeSampler(d, 4, seed=6).sample())
 
 
 class TestPGM:

@@ -10,7 +10,6 @@ from kpp.nets import (
     CHECKPOINT_MAGIC,
     LOG_STD_MAX,
     LOG_STD_MIN,
-    Episode,
     MemoryVAE,
     ModelConfig,
     load_checkpoint,
@@ -34,18 +33,6 @@ def tiny_dense_cfg(**kw):
 def n_params(model, prefix=""):
     """Number of parameter entries whose tensor name starts with prefix."""
     return sum(p.data.size for name, p in model.params.items() if name.startswith(prefix))
-
-
-class TestEpisode:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Episode(images=np.zeros((4, 4)), dataset_ids=[0])
-        with pytest.raises(ValueError):
-            Episode(images=np.zeros((2, 1, 4, 4)), dataset_ids=[0])
-
-    def test_length(self):
-        ep = Episode(images=np.zeros((3, 1, 4, 4)), dataset_ids=[5, 6, 7])
-        assert ep.images.shape[0] == len(ep.dataset_ids) == 3
 
 
 class TestModelConfig:
@@ -615,13 +602,12 @@ class TestEndToEndGradient:
         model = float64(MemoryVAE(conv_cfg(), seed=16))
         randomize(model, rng, scale=0.1)
         images = (rng.random((2, 1, 8, 8)) < 0.5).astype(np.float64)
-        ep = Episode(images=images, dataset_ids=[0, 1])
 
         def scalar():
-            loss, _ = elbo_graph(model, ep, np.random.default_rng(77))
+            loss, _ = elbo_graph(model, images, np.random.default_rng(77))
             return float(loss.data)
 
-        loss, _ = elbo_graph(model, ep, np.random.default_rng(77))
+        loss, _ = elbo_graph(model, images, np.random.default_rng(77))
         ad.backward(loss)
         grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
         assert set(grads) == set(model.params)

@@ -11,7 +11,7 @@ import pytest
 from kpp import autodiff as ad
 from kpp.autodiff import NonFiniteError
 from kpp.data import synth_shapes
-from kpp.nets import LOG_STD_MAX, LOG_STD_MIN, Episode, MemoryVAE, ModelConfig
+from kpp.nets import LOG_STD_MAX, LOG_STD_MIN, MemoryVAE, ModelConfig
 from kpp.objective import (
     ElboBreakdown,
     denoise,
@@ -151,8 +151,7 @@ class TestBreakdown:
         model = MemoryVAE(conv_cfg(), seed=1)
         randomize(model, rng, scale=0.1)
         images = (rng.random((2, 1, 8, 8)) < 0.5).astype(np.float64)
-        ep = Episode(images=images, dataset_ids=[0, 1])
-        loss, br = elbo_graph(model, ep, np.random.default_rng(3))
+        loss, br = elbo_graph(model, images, np.random.default_rng(3))
         assert float(loss.data) == -br.elbo
 
     def test_zero_init_heads_zero_kl(self, rng):
@@ -328,15 +327,14 @@ class TestEpisodeBatch:
         model = float64(MemoryVAE(conv_cfg(T=t, K=2, ablation=ablation), seed=11))
         randomize(model, rng, scale=0.3)
         images = (rng.random((3, t, 1, 8, 8)) < 0.5).astype(np.float64)
-        episodes = [Episode(images=im, dataset_ids=list(range(t))) for im in images]
-        terms, grads, draw = self._run(model, episodes, 21)
+        terms, grads, draw = self._run(model, images, 21)
 
         # the reference: one graph per episode on one noise stream, averaged
         params = model.trainable()
         ad.zero_grad(params)
         noise = np.random.default_rng(21)
         losses, rows = [], []
-        for ep in episodes:
+        for ep in images:
             loss, br = elbo_graph(model, ep, noise)
             losses.append(loss)
             rows.append([float(loss.data), br.recon_ll, br.kl_z, br.kl_y, br.elbo])
@@ -355,9 +353,8 @@ class TestEpisodeBatch:
         model = MemoryVAE(conv_cfg(T=2), seed=12)
         randomize(model, rng, scale=0.3)
         images = (rng.random((2, 2, 1, 8, 8)) < 0.5).astype(np.float64)
-        episodes = [Episode(images=im, dataset_ids=[0, 1]) for im in images]
         a = self._run(model, images, 5)
-        b = self._run(model, episodes, 5)
+        b = self._run(model, list(images), 5)
         assert np.array_equal(a[0], b[0])
 
     def test_unequal_episodes_rejected(self, rng):
@@ -365,6 +362,14 @@ class TestEpisodeBatch:
         episodes = [rng.random((2, 1, 8, 8)), rng.random((3, 1, 8, 8))]
         with pytest.raises(ValueError):
             elbo_graph(model, episodes, 0)
+
+    def test_bad_shapes_rejected(self, rng):
+        model = MemoryVAE(conv_cfg(T=2), seed=12)
+        for bad in (rng.random((1, 8, 8)), rng.random((1, 2, 2, 1, 8, 8)),
+                    np.zeros((0, 1, 8, 8)), np.zeros((0, 2, 1, 8, 8)),
+                    np.zeros((2, 0, 1, 8, 8)), []):
+            with pytest.raises(ValueError, match=r"\(T,C,H,W\) or \(B,T,C,H,W\)"):
+                elbo_graph(model, bad, 0)
 
 
 class TestOneMemoryReads:

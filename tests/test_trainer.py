@@ -166,6 +166,8 @@ class TestTrainConfig:
             small_train_cfg(batch_episodes=0)
         with pytest.raises(ValueError):
             small_train_cfg(batch_episodes=8, episodes_per_epoch=4)
+        with pytest.raises(ValueError, match="warmup_epochs must be >= 0"):
+            small_train_cfg(warmup_epochs=-3)
 
     @pytest.mark.parametrize("field", ["lr", "weight_decay"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
